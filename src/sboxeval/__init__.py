@@ -1,11 +1,11 @@
 """Walsh-Hadamard spectra and nonlinearity of S-boxes.
 
-Mask-major (transposed) spectrum storage keeps each transform column in one
-contiguous array; the fused transform harvests per-column maxima during the
-final butterfly pass; a static column partition spreads the work over a
-thread pool with bit-identical results for any worker count.  Brute-force
-oracles (the defining spectrum sum and the affine-distance search) back
-every fast path.
+One transform engine, ``fwht_parallel``, keeps each spectrum column in one
+contiguous row of a mask-major (transposed) store, harvests per-column
+maxima during the final butterfly pass, and spreads the columns over a
+thread pool by a static partition, with bit-identical results for any
+worker count.  Brute-force oracles (the defining spectrum sum and the
+affine-distance search) back every fast path.
 """
 
 from .bench import (
@@ -17,7 +17,7 @@ from .bench import (
     speedup_report,
     write_csv,
 )
-from .memory import AllocationTracker, MemoryBudgetError, spectrum_allocations
+from .memory import AllocationTracker, MemoryBudgetError, memory_estimate, spectrum_allocations
 from .nonlinearity import (
     METHODS,
     NonlinearityResult,
@@ -27,7 +27,14 @@ from .nonlinearity import (
     nonlinearity_from_maxima,
     nonlinearity_from_spectrum,
 )
-from .parallel import ColumnPartition, default_workers, fwht_parallel, partition_columns
+from .parallel import (
+    ColumnPartition,
+    default_workers,
+    fwht_fused,
+    fwht_parallel,
+    fwht_transposed,
+    partition_columns,
+)
 from .sbox import (
     AES_SBOX,
     PolarityTruthTable,
@@ -37,7 +44,6 @@ from .sbox import (
     component_value,
     generate_sbox,
     identity_sbox,
-    memory_estimate,
     parse_sbox,
     polarity_row,
     polarity_truth_table,
@@ -47,9 +53,7 @@ from .walsh import (
     ColumnMaxima,
     WalshSpectrum,
     fwht_column_in_place,
-    fwht_fused,
     fwht_rowmajor,
-    fwht_transposed,
     walsh_direct,
     write_spectrum,
 )

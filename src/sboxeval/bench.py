@@ -19,15 +19,10 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .nonlinearity import (
-    NonlinearityResult,
-    nonlinearity_bruteforce,
-    nonlinearity_from_maxima,
-    nonlinearity_from_spectrum,
-)
-from .parallel import fwht_parallel
+from .nonlinearity import METHODS, WORKER_METHODS, NonlinearityResult, nonlinearity_from_maxima
+from .parallel import fwht_fused
 from .sbox import SBox
-from .walsh import WalshSpectrum, fwht_fused, fwht_rowmajor, fwht_transposed
+from .walsh import WalshSpectrum
 
 CSV_HEADER = (
     "method",
@@ -81,25 +76,7 @@ def _run_once(
     """One end-to-end evaluation; returns (result, spectrum, end_ms, transform_ms)."""
     timings: dict = {}
     start = time.perf_counter()
-    if method == "rowmajor":
-        spectrum = fwht_rowmajor(s, max_bytes, timings)
-        result = nonlinearity_from_spectrum(spectrum, method)
-    elif method == "transposed":
-        spectrum = fwht_transposed(s, max_bytes, timings)
-        result = nonlinearity_from_spectrum(spectrum, method)
-    elif method == "fused":
-        spectrum, cm = fwht_fused(s, mode=mode, max_bytes=max_bytes, timings=timings)
-        result = nonlinearity_from_maxima(cm, method)
-    elif method == "parallel":
-        spectrum, cm = fwht_parallel(
-            s, workers=workers, mode=mode, max_bytes=max_bytes, timings=timings
-        )
-        result = nonlinearity_from_maxima(cm, method)
-    elif method == "bruteforce":
-        spectrum = None
-        result = nonlinearity_bruteforce(s)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    result, spectrum = METHODS[method](s, method, workers, mode, max_bytes, timings)
     end_ms = (time.perf_counter() - start) * 1e3
     transform_ms = timings.get("transform_s", end_ms / 1e3) * 1e3
     return result, spectrum, end_ms, transform_ms
@@ -140,13 +117,16 @@ def run_benchmark(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    names = sorted(set(methods))
+    if unknown := set(names) - set(METHODS):
+        raise ValueError(f"unknown method(s) {sorted(unknown)}; expected one of {tuple(METHODS)}")
     ref_spectrum, ref_cm = fwht_fused(s, mode=mode, max_bytes=max_bytes)
     ref_value = nonlinearity_from_maxima(ref_cm).value
     ref_rows = ref_spectrum.rows if ref_spectrum is not None else None
 
     records = []
-    for method in sorted(set(methods)):
-        counts = list(worker_counts) if method == "parallel" else [1]
+    for method in names:
+        counts = list(worker_counts) if method in WORKER_METHODS else [1]
         for workers in counts:
             record = BenchRecord(method, s.n, s.m, workers, repetitions)
             # warm-up: populates caches and proves the configuration correct

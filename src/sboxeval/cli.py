@@ -8,6 +8,7 @@ Exit codes are stable: 0 success, 1 usage, 2 parse, 3 memory budget,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Sequence
@@ -18,15 +19,17 @@ from . import bench
 from .memory import MemoryBudgetError, default_budget
 from .nonlinearity import (
     METHODS,
+    STREAM_METHODS,
+    WORKER_METHODS,
     SizeCapError,
     evaluate,
     nonlinearity_bruteforce,
     nonlinearity_from_maxima,
     nonlinearity_from_spectrum,
 )
-from .parallel import default_workers, fwht_parallel
-from .sbox import SBox, SBoxFormatError, generate_sbox, parse_sbox, render_sbox
-from .walsh import fwht_fused, fwht_rowmajor, fwht_transposed, walsh_direct, write_spectrum
+from .parallel import default_workers, fwht_fused, fwht_parallel
+from .sbox import MAX_BITS, SBox, SBoxFormatError, generate_sbox, parse_sbox, render_sbox
+from .walsh import fwht_rowmajor, walsh_direct, write_spectrum
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,17 +44,35 @@ VERIFY_MAX_BITS = 8  # the direct oracle sweep is O(2^{2n+m})
 MAX_MEM_ENV = "SBOX_EVAL_MAX_MEM"
 
 
+class UsageError(Exception):
+    """Command-line input that argparse cannot reject on its own (exit 1)."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in low..high, unbounded above when high is None."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_in(1)
+_byte_count = _int_in(0)
+_bit_count = _int_in(1, MAX_BITS)
 
 
 def _load_sbox(path: str) -> SBox:
@@ -64,25 +85,31 @@ def _resolve_budget(args) -> int | None:
         return args.max_mem
     env = os.environ.get(MAX_MEM_ENV)
     if env is not None:
-        return int(env)
+        try:
+            return _byte_count(env)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{MAX_MEM_ENV}: {exc}") from None
     return default_budget()
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at ``path`` opened for writing, or stdout when path is None."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def cmd_nl(args) -> int:
+    if args.workers is not None and args.method not in WORKER_METHODS:
+        raise UsageError(f"--workers applies only to --method {'/'.join(WORKER_METHODS)}")
+    if args.mode == "stream" and args.method not in STREAM_METHODS:
+        raise UsageError(f"--mode stream applies only to --method {'/'.join(STREAM_METHODS)}")
+    budget = _resolve_budget(args)
     s = _load_sbox(args.path)
-    result = evaluate(
-        s,
-        method=args.method,
-        workers=args.workers,
-        mode=args.mode,
-        max_bytes=_resolve_budget(args),
-    )
+    result = evaluate(s, method=args.method, workers=args.workers, mode=args.mode, max_bytes=budget)
     print(f"nl = {result.value} (argmin v = {result.argmin_v})")
     return EXIT_OK
 
@@ -96,19 +123,9 @@ def cmd_walsh(args) -> int:
             file=sys.stderr,
         )
         return EXIT_SIZE
-    budget = _resolve_budget(args)
-    if args.method == "rowmajor":
-        spectrum = fwht_rowmajor(s, budget)
-    elif args.method == "fused":
-        spectrum, _ = fwht_fused(s, mode="retain", max_bytes=budget)
-    else:
-        spectrum = fwht_transposed(s, budget)
-    out, close = _open_out(args.out)
-    try:
+    _, spectrum = METHODS[args.method](s, args.method, 1, "retain", _resolve_budget(args), None)
+    with _output(args.out) as out:
         write_spectrum(spectrum, out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -116,15 +133,12 @@ def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
-            print(f"error: unknown method {m!r}; choose from {METHODS}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
     try:
-        workers = [int(w) for w in args.workers.split(",")]
-    except ValueError:
-        print(f"error: --workers must be comma-separated integers, got "
-              f"{args.workers!r}", file=sys.stderr)
-        return EXIT_USAGE
+        workers = [_positive_int(w) for w in args.workers.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"--workers: {exc}") from None
+    budget = _resolve_budget(args)
     s = _load_sbox(args.path)
     records = bench.run_benchmark(
         s,
@@ -132,25 +146,17 @@ def cmd_bench(args) -> int:
         worker_counts=workers,
         repetitions=args.reps,
         mode=args.mode,
-        max_bytes=_resolve_budget(args),
+        max_bytes=budget,
     )
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         bench.write_csv(records, out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
     s = generate_sbox(args.n, args.m, args.seed, args.bijective)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(render_sbox(s))
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -172,7 +178,8 @@ def cmd_verify(args) -> int:
     budget = _resolve_budget(args)
     max_workers = args.max_workers or default_workers()
 
-    spectrum, maxima = fwht_fused(s, mode="retain", max_bytes=budget)
+    ref_spec, maxima = fwht_fused(s, mode="retain", max_bytes=budget)
+    spectrum = ref_spec
     if args.inject_corruption:
         rows = spectrum.rows.copy()
         rows[0, 0] += 2  # negative control: break one spectrum element
@@ -180,9 +187,7 @@ def cmd_verify(args) -> int:
 
     failures: list[str] = []
 
-    row_ok = np.array_equal(fwht_rowmajor(s, budget).rows, spectrum.rows)
-    tr_ok = np.array_equal(fwht_transposed(s, budget).rows, spectrum.rows)
-    oracle_ok = row_ok and tr_ok
+    oracle_ok = np.array_equal(fwht_rowmajor(s, budget).rows, spectrum.rows)
     if oracle_ok:
         for v in range(1, 1 << s.m):
             row = spectrum.rows[v - 1]
@@ -205,12 +210,11 @@ def cmd_verify(args) -> int:
     print(f"nl = {reduced.value}", file=sys.stderr)
 
     det_ok = True
-    ref_spec, ref_cm = fwht_parallel(s, workers=1, max_bytes=budget)
     for workers in range(2, max_workers + 1):
         spec_w, cm_w = fwht_parallel(s, workers=workers, max_bytes=budget)
         if not (
             np.array_equal(spec_w.rows, ref_spec.rows)
-            and np.array_equal(cm_w.values, ref_cm.values)
+            and np.array_equal(cm_w.values, maxima.values)
         ):
             det_ok = False
             break
@@ -227,7 +231,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p, modes=True):
-        p.add_argument("--max-mem", type=int, default=None, metavar="BYTES",
+        p.add_argument("--max-mem", type=_byte_count, default=None, metavar="BYTES",
                        help=f"spectrum memory budget (default: env {MAX_MEM_ENV} "
                             "or 75%% of physical RAM)")
         if modes:
@@ -263,8 +267,8 @@ def build_parser() -> _Parser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("gen", help="generate a random S-box")
-    p_gen.add_argument("n", type=int)
-    p_gen.add_argument("m", type=int)
+    p_gen.add_argument("n", type=_bit_count)
+    p_gen.add_argument("m", type=_bit_count)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--bijective", action="store_true")
     p_gen.add_argument("--out", default=None, help=".sbox output (default: stdout)")
@@ -287,6 +291,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (SBoxFormatError, OSError, ValueError) as exc:
         if isinstance(exc, SizeCapError):
             print(f"error: {exc}", file=sys.stderr)

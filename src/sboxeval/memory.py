@@ -1,8 +1,8 @@
 """Memory budgets and accounting for spectrum storage.
 
 Full spectra grow as 2^(n+m) elements, so every operation that materializes
-one checks an optional byte budget first and records what it actually
-allocates.  The tracker only counts buffers that hold polarity/spectrum data
+one first checks ``memory_estimate`` against an optional byte budget, and
+records what it actually allocates.  The tracker only counts buffers that hold polarity/spectrum data
 (the full matrix in retain mode, per-worker column buffers in stream mode);
 transient arithmetic temporaries are not spectrum storage.
 """
@@ -68,17 +68,30 @@ def check_budget(required: int, max_bytes: int | None) -> None:
         raise MemoryBudgetError(required, max_bytes)
 
 
-def physical_memory_bytes() -> int | None:
-    """Total physical RAM, or None when the platform does not expose it."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (ValueError, OSError, AttributeError):
-        return None
+def memory_estimate(
+    n: int,
+    m: int,
+    element_width: int = 4,
+    mode: str = "retain",
+    workers: int = 1,
+) -> int:
+    """Bytes of spectrum + maxima storage an evaluation will need.
+
+    Retain mode holds the whole (2^m - 1) x 2^n matrix; stream mode holds one
+    column buffer per worker plus one spare.  Both include the per-mask maxima
+    array.  The result may exceed physical memory; callers decide.
+    """
+    maxima = (1 << m) * element_width
+    if mode == "retain":
+        return ((1 << m) - 1) * (1 << n) * element_width + maxima
+    if mode == "stream":
+        return (workers + 1) * (1 << n) * element_width + maxima
+    raise ValueError(f"mode must be 'retain' or 'stream', got {mode!r}")
 
 
 def default_budget() -> int | None:
-    """Default allocation budget: 75% of physical memory."""
-    total = physical_memory_bytes()
-    if total is None:
+    """75% of physical memory, or None when the platform does not expose it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") * 3 // 4
+    except (ValueError, OSError, AttributeError):
         return None
-    return (total * 3) // 4

@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import fwht_parallel
+from .parallel import fwht_parallel, fwht_transposed
 from .sbox import SBox
-from .walsh import ColumnMaxima, WalshSpectrum, fwht_fused, fwht_rowmajor, fwht_transposed
+from .walsh import ColumnMaxima, WalshSpectrum, fwht_rowmajor
 
 BRUTEFORCE_MAX_BITS = 8
-
-METHODS = ("rowmajor", "transposed", "fused", "parallel", "bruteforce")
 
 
 class SizeCapError(ValueError):
@@ -86,6 +84,44 @@ def nonlinearity_bruteforce(s: SBox) -> NonlinearityResult:
     return NonlinearityResult(best, best_v, "bruteforce")
 
 
+def _run_rowmajor(s, method, workers, mode, max_bytes, timings):
+    spectrum = fwht_rowmajor(s, max_bytes, timings)
+    return nonlinearity_from_spectrum(spectrum, method), spectrum
+
+
+def _run_transposed(s, method, workers, mode, max_bytes, timings):
+    spectrum = fwht_transposed(s, max_bytes, timings)
+    return nonlinearity_from_spectrum(spectrum, method), spectrum
+
+
+def _run_parallel(s, method, workers, mode, max_bytes, timings):
+    spectrum, cm = fwht_parallel(s, workers, mode, max_bytes, timings)
+    return nonlinearity_from_maxima(cm, method), spectrum
+
+
+def _run_fused(s, method, workers, mode, max_bytes, timings):
+    return _run_parallel(s, method, 1, mode, max_bytes, timings)
+
+
+def _run_bruteforce(s, method, workers, mode, max_bytes, timings):
+    return nonlinearity_bruteforce(s), None
+
+
+# Every evaluation pipeline by name.  Each entry is
+# run(s, method, workers, mode, max_bytes, timings) -> (result, spectrum or None);
+# entries outside WORKER_METHODS ignore ``workers`` and entries outside
+# STREAM_METHODS ignore ``mode`` (rowmajor and transposed always retain).
+METHODS = {
+    "rowmajor": _run_rowmajor,
+    "transposed": _run_transposed,
+    "fused": _run_fused,
+    "parallel": _run_parallel,
+    "bruteforce": _run_bruteforce,
+}
+WORKER_METHODS = ("parallel",)
+STREAM_METHODS = ("fused", "parallel")
+
+
 def evaluate(
     s: SBox,
     method: str = "parallel",
@@ -94,16 +130,6 @@ def evaluate(
     max_bytes: int | None = None,
 ) -> NonlinearityResult:
     """End-to-end nonlinearity through the chosen pipeline."""
-    if method == "rowmajor":
-        return nonlinearity_from_spectrum(fwht_rowmajor(s, max_bytes), method)
-    if method == "transposed":
-        return nonlinearity_from_spectrum(fwht_transposed(s, max_bytes), method)
-    if method == "fused":
-        _, cm = fwht_fused(s, mode=mode, max_bytes=max_bytes)
-        return nonlinearity_from_maxima(cm, method)
-    if method == "parallel":
-        _, cm = fwht_parallel(s, workers=workers, mode=mode, max_bytes=max_bytes)
-        return nonlinearity_from_maxima(cm, method)
-    if method == "bruteforce":
-        return nonlinearity_bruteforce(s)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    return METHODS[method](s, method, workers, mode, max_bytes, None)[0]

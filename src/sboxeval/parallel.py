@@ -1,10 +1,15 @@
-"""Data-parallel fused transform over statically partitioned spectrum columns.
+"""The transform engine: the butterfly over mask-major spectrum columns.
 
-Columns (output masks) are independent, so the pool splits them into
-balanced contiguous ranges, one worker per range.  Workers own disjoint rows
-of the spectrum and disjoint maxima slots, so the data plane needs no locks;
-the only synchronization is the completion barrier before assembly.  Results
-are bit-identical for every worker count.
+Each output mask v owns one contiguous row of 2^n entries.  The engine
+butterflies every row, folds the row's max |W| into a per-component
+nonlinearity on the last pass, and splits the masks into balanced contiguous
+ranges, one worker thread per range.  Workers own disjoint rows and maxima
+slots, so the data plane needs no locks; the only synchronization is the
+completion barrier.  Retain mode keeps the transformed matrix; stream mode
+gives each worker one reusable column buffer and keeps only the maxima.
+Results are bit-identical for every worker count.  On one worker the engine
+is the fused transform (``fwht_fused``), and its retained spectrum is the
+transposed transform (``fwht_transposed``).
 """
 
 from __future__ import annotations
@@ -16,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import check_budget, spectrum_allocations
-from .sbox import SBox, memory_estimate, polarity_row, polarity_truth_table
-from .walsh import (
-    ColumnMaxima,
-    WalshSpectrum,
-    column_nonlinearity,
-    fwht_column_in_place,
-    transform_rows_in_place,
-)
+from .memory import check_budget, memory_estimate, spectrum_allocations
+from .sbox import SBox, polarity_row, polarity_truth_table
+from .walsh import ColumnMaxima, WalshSpectrum, column_nonlinearity, fwht_column_in_place
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,10 @@ def fwht_parallel(
 ) -> tuple[WalshSpectrum | None, ColumnMaxima]:
     """Fused transform with columns spread across a fresh worker pool.
 
-    Output is bit-identical to ``fwht_fused(s, mode)`` for every worker
-    count.  Retain mode transforms the shared mask-major store in place, each
-    worker covering its own row ranges; stream mode gives each worker one
-    reusable column buffer.
+    Returns the retained spectrum (None in stream mode) and the per-column
+    nonlinearities.  Output is bit-identical for every worker count.  When
+    ``timings`` is given, it receives ``build_s`` (budget check and polarity
+    build) and ``transform_s`` (butterfly and maxima).
     """
     if mode not in ("retain", "stream"):
         raise ValueError(f"mode must be 'retain' or 'stream', got {mode!r}")
@@ -88,13 +87,13 @@ def fwht_parallel(
 
     t0 = time.perf_counter()
     if mode == "retain":
-        ptt = polarity_truth_table(s, max_bytes)
-        rows = ptt.rows
+        rows = polarity_truth_table(s, max_bytes).rows
         spectrum_allocations.charge(rows.nbytes)
 
         def work(rng: tuple[int, int]) -> None:
-            lo, hi = rng
-            transform_rows_in_place(rows[lo - 1 : hi - 1], maxima_out=maxima[lo - 1 : hi - 1])
+            for v in range(*rng):
+                _, max_abs = fwht_column_in_place(rows[v - 1])
+                maxima[v - 1] = column_nonlinearity(pw, max_abs)
 
     else:
         check_budget(
@@ -131,3 +130,22 @@ def fwht_parallel(
 
     spectrum = WalshSpectrum(s.n, s.m, rows) if rows is not None else None
     return spectrum, ColumnMaxima(s.n, s.m, maxima)
+
+
+def fwht_fused(
+    s: SBox,
+    mode: str = "retain",
+    max_bytes: int | None = None,
+    timings: dict | None = None,
+) -> tuple[WalshSpectrum | None, ColumnMaxima]:
+    """The engine on one worker: spectrum (None in stream mode) and maxima."""
+    return fwht_parallel(s, 1, mode, max_bytes, timings)
+
+
+def fwht_transposed(
+    s: SBox,
+    max_bytes: int | None = None,
+    timings: dict | None = None,
+) -> WalshSpectrum:
+    """The engine's retained spectrum on one worker."""
+    return fwht_parallel(s, 1, "retain", max_bytes, timings)[0]

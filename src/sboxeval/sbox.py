@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory import check_budget
+from .memory import check_budget, memory_estimate
 
 MAX_BITS = 24  # keeps index math in 64-bit range and memory bounded
 
@@ -138,9 +138,6 @@ class PolarityTruthTable:
     m: int
     rows: np.ndarray = field(repr=False)
 
-    def row_count(self) -> int:
-        return (1 << self.m) - 1
-
 
 def polarity_row(s: SBox, v: int, out: np.ndarray | None = None) -> np.ndarray:
     """Fill (or allocate) one polarity row: +1 where g_v(x)=0, -1 where g_v(x)=1."""
@@ -153,34 +150,11 @@ def polarity_row(s: SBox, v: int, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def polarity_truth_table(s: SBox, max_bytes: int | None = None) -> PolarityTruthTable:
-    rows_n = (1 << s.m) - 1
-    cols = 1 << s.n
-    check_budget(rows_n * cols * 4, max_bytes)
-    rows = np.empty((rows_n, cols), dtype=np.int32)
+    check_budget(memory_estimate(s.n, s.m, mode="retain"), max_bytes)
+    rows = np.empty(((1 << s.m) - 1, 1 << s.n), dtype=np.int32)
     for v in range(1, 1 << s.m):
         polarity_row(s, v, out=rows[v - 1])
     return PolarityTruthTable(s.n, s.m, rows)
-
-
-def memory_estimate(
-    n: int,
-    m: int,
-    element_width: int = 4,
-    mode: str = "retain",
-    workers: int = 1,
-) -> int:
-    """Bytes of spectrum + maxima storage an evaluation will need.
-
-    Retain mode holds the whole (2^m - 1) x 2^n matrix; stream mode holds one
-    column buffer per worker plus one spare.  Both include the per-mask maxima
-    array.  The result may exceed physical memory; callers decide.
-    """
-    maxima = (1 << m) * element_width
-    if mode == "retain":
-        return ((1 << m) - 1) * (1 << n) * element_width + maxima
-    if mode == "stream":
-        return (workers + 1) * (1 << n) * element_width + maxima
-    raise ValueError(f"mode must be 'retain' or 'stream', got {mode!r}")
 
 
 def _parse_int(token: str) -> int:

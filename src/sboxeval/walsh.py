@@ -1,20 +1,19 @@
-"""Walsh-Hadamard spectra of S-boxes.
+"""Walsh-Hadamard spectra of S-boxes: kernel, oracle and layout baseline.
 
 The spectrum entry W(u, v) is the signed correlation count
 sum_x (-1)^{g_v(x) XOR <u, x>}; one fixed output mask v gives one spectrum
-column of 2^n entries.  Four routes compute it:
+column of 2^n entries.  This module holds the pieces every route shares:
 
-* ``walsh_direct``      -- literal evaluation of the defining sum (the oracle)
-* ``fwht_rowmajor``     -- butterfly over strided columns of an x-major store
-* ``fwht_transposed``   -- same butterfly over contiguous rows of a mask-major
-                           store (one array sweep per column)
-* ``fwht_fused``        -- transposed transform that also harvests each
-                           column's max |W| on the final butterfly pass,
-                           yielding per-component nonlinearities without a
-                           second spectrum scan
+* ``walsh_direct``         -- literal evaluation of the defining sum (the oracle)
+* ``fwht_column_in_place`` -- the butterfly over one column, which also
+                              harvests the column's max |W| on its last pass
+* ``fwht_rowmajor``        -- the same butterfly over strided columns of an
+                              x-major store, kept as the slow baseline of the
+                              layout experiment
 
-All variants produce bit-identical integer spectra; they differ only in
-memory layout and what is retained.
+The fast engine lives in ``parallel.fwht_parallel``: it runs the butterfly
+over contiguous rows of a mask-major store, spread over worker threads.
+Every route produces bit-identical integer spectra.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from typing import IO
 
 import numpy as np
 
-from .memory import check_budget, spectrum_allocations
-from .sbox import SBox, memory_estimate, polarity_row, polarity_truth_table
+from .memory import check_budget, memory_estimate, spectrum_allocations
+from .sbox import SBox
 
 
 @dataclass(frozen=True)
@@ -137,21 +136,6 @@ def transform_xmajor_in_place(wt: np.ndarray) -> None:
         fwht_column_in_place(wt[:, z])
 
 
-def transform_rows_in_place(
-    rows: np.ndarray, maxima_out: np.ndarray | None = None
-) -> None:
-    """Butterfly every row of a mask-major store (contiguous access).
-
-    When ``maxima_out`` is given, row v-1's finished max |W| is folded into
-    maxima_out[v-1] as the component nonlinearity.
-    """
-    pw = rows.shape[1]
-    for idx in range(rows.shape[0]):
-        _, max_abs = fwht_column_in_place(rows[idx])
-        if maxima_out is not None:
-            maxima_out[idx] = column_nonlinearity(pw, max_abs)
-
-
 def fwht_rowmajor(
     s: SBox,
     max_bytes: int | None = None,
@@ -178,74 +162,6 @@ def fwht_rowmajor(
         timings["build_s"] = t1 - t0
         timings["transform_s"] = t2 - t1
     return WalshSpectrum(s.n, s.m, rows)
-
-
-def fwht_transposed(
-    s: SBox,
-    max_bytes: int | None = None,
-    timings: dict | None = None,
-) -> WalshSpectrum:
-    """Transform over the mask-major store: each column is one contiguous row."""
-    t0 = time.perf_counter()
-    ptt = polarity_truth_table(s, max_bytes)
-    spectrum_allocations.charge(ptt.rows.nbytes)
-    try:
-        t1 = time.perf_counter()
-        transform_rows_in_place(ptt.rows)
-        t2 = time.perf_counter()
-    finally:
-        spectrum_allocations.release(ptt.rows.nbytes)
-    if timings is not None:
-        timings["build_s"] = t1 - t0
-        timings["transform_s"] = t2 - t1
-    return WalshSpectrum(s.n, s.m, ptt.rows)
-
-
-def fwht_fused(
-    s: SBox,
-    mode: str = "retain",
-    max_bytes: int | None = None,
-    timings: dict | None = None,
-) -> tuple[WalshSpectrum | None, ColumnMaxima]:
-    """Transposed transform fused with per-column max tracking.
-
-    Retain mode keeps the whole spectrum and returns it alongside the maxima;
-    stream mode reuses a single column buffer, so memory stays at one column
-    regardless of m, and only the maxima survive.
-    """
-    if mode not in ("retain", "stream"):
-        raise ValueError(f"mode must be 'retain' or 'stream', got {mode!r}")
-    maxima = np.zeros((1 << s.m) - 1, dtype=np.int64)
-    t0 = time.perf_counter()
-    if mode == "retain":
-        ptt = polarity_truth_table(s, max_bytes)
-        spectrum_allocations.charge(ptt.rows.nbytes)
-        try:
-            t1 = time.perf_counter()
-            transform_rows_in_place(ptt.rows, maxima_out=maxima)
-            t2 = time.perf_counter()
-        finally:
-            spectrum_allocations.release(ptt.rows.nbytes)
-        spectrum = WalshSpectrum(s.n, s.m, ptt.rows)
-    else:
-        check_budget(memory_estimate(s.n, s.m, mode="stream", workers=1), max_bytes)
-        buf = np.empty(1 << s.n, dtype=np.int32)
-        spectrum_allocations.charge(buf.nbytes)
-        try:
-            t1 = time.perf_counter()
-            pw = 1 << s.n
-            for v in range(1, 1 << s.m):
-                polarity_row(s, v, out=buf)
-                _, max_abs = fwht_column_in_place(buf)
-                maxima[v - 1] = column_nonlinearity(pw, max_abs)
-            t2 = time.perf_counter()
-        finally:
-            spectrum_allocations.release(buf.nbytes)
-        spectrum = None
-    if timings is not None:
-        timings["build_s"] = t1 - t0
-        timings["transform_s"] = t2 - t1
-    return spectrum, ColumnMaxima(s.n, s.m, maxima)
 
 
 def write_spectrum(w: WalshSpectrum, stream: IO[str]) -> None:

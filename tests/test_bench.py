@@ -47,10 +47,10 @@ class TestRunBenchmark:
 
     def test_wrong_result_is_an_error_not_a_data_point(self, monkeypatch):
         s = generate_sbox(4, 4, seed=7)
-        monkeypatch.setattr(
-            bench,
-            "nonlinearity_bruteforce",
-            lambda _s: NonlinearityResult(999, 1, "bruteforce"),
+        monkeypatch.setitem(
+            bench.METHODS,
+            "bruteforce",
+            lambda *_args: (NonlinearityResult(999, 1, "bruteforce"), None),
         )
         with pytest.raises(BenchVerificationError, match="999"):
             run_benchmark(s, {"bruteforce"}, repetitions=1)

@@ -76,6 +76,47 @@ class TestNl:
         monkeypatch.setenv("SBOX_EVAL_MAX_MEM", str(1 << 30))
         assert main(["nl", path]) == 0
 
+    def test_bad_env_budget_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        path = write_box(tmp_path, "r4.sbox", 4, 4, seed=2)
+        monkeypatch.setenv("SBOX_EVAL_MAX_MEM", "abc")
+        assert main(["nl", path]) == 1
+        assert "SBOX_EVAL_MAX_MEM" in capsys.readouterr().err
+
+    def test_negative_max_mem_is_a_usage_error(self, tmp_path):
+        path = write_box(tmp_path, "r4.sbox", 4, 4, seed=2)
+        with pytest.raises(SystemExit) as exc:
+            main(["nl", path, "--max-mem", "-5"])
+        assert exc.value.code == 1
+
+    def test_undecodable_file_exits_2(self, tmp_path):
+        path = tmp_path / "bin.sbox"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["nl", str(path)]) == 2
+
+    @pytest.mark.parametrize("method", ["rowmajor", "transposed", "fused", "parallel"])
+    def test_budget_below_estimate_exits_3_for_every_spectrum_method(
+        self, tmp_path, method
+    ):
+        # above the 8x8 polarity matrix (261,120 bytes), below the estimate
+        # that adds the maxima (262,144 bytes)
+        path = write_box(tmp_path, "r8.sbox", 8, 8, seed=1)
+        assert main(["nl", path, "--max-mem", "261500", "--method", method]) == 3
+
+    @pytest.mark.parametrize("method", ["rowmajor", "transposed", "fused", "bruteforce"])
+    def test_workers_without_parallel_is_a_usage_error(self, tmp_path, capsys, method):
+        path = write_box(tmp_path, "r4.sbox", 4, 4, seed=2)
+        assert main(["nl", path, "--method", method, "--workers", "3"]) == 1
+        assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["rowmajor", "transposed"])
+    def test_stream_with_retaining_method_is_a_usage_error(
+        self, tmp_path, capsys, method
+    ):
+        path = write_box(tmp_path, "r4.sbox", 4, 4, seed=2)
+        assert main(["nl", path, "--method", method, "--mode", "stream"]) == 1
+        err = capsys.readouterr().err
+        assert "--mode stream" in err and "hint" not in err
+
 
 class TestWalsh:
     def test_identity_2x2_dump(self, tmp_path, capsys):
@@ -135,6 +176,11 @@ class TestBench:
         path = write_box(tmp_path, "r3.sbox", 3, 3, seed=8)
         assert main(["bench", path, "--methods", "warp"]) == 1
 
+    def test_zero_workers_exits_1(self, tmp_path, capsys):
+        path = write_box(tmp_path, "r3.sbox", 3, 3, seed=8)
+        assert main(["bench", path, "--methods", "parallel", "--workers", "1,0"]) == 1
+        assert "--workers" in capsys.readouterr().err
+
     def test_csv_file_roundtrip(self, tmp_path):
         from sboxeval import read_csv
 
@@ -163,6 +209,12 @@ class TestGen:
     def test_bijective_needs_square_exits_2(self, capsys):
         assert main(["gen", "4", "3", "--bijective"]) == 2
         assert "n == m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n,m", [("30", "30"), ("0", "4"), ("4", "25")])
+    def test_bits_out_of_range_exit_1(self, n, m):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", n, m])
+        assert exc.value.code == 1
 
 
 class TestVerify:
