@@ -1,8 +1,9 @@
 """Walsh-Hadamard spectra and nonlinearity of S-boxes.
 
 One transform engine, ``fwht_parallel``, keeps each spectrum column in one
-contiguous row of a mask-major (transposed) store, harvests per-column
-maxima during the final butterfly pass, and spreads the columns over a
+contiguous row of a mask-major (transposed) store, fills and butterflies
+cache-sized blocks of those rows with one numpy call per step, harvests
+per-column maxima from each finished block, and spreads the columns over a
 thread pool by a static partition, with bit-identical results for any
 worker count.  Brute-force oracles (the defining spectrum sum and the
 affine-distance search) back every fast path.
@@ -46,6 +47,7 @@ from .sbox import (
     identity_sbox,
     parse_sbox,
     polarity_row,
+    polarity_rows,
     polarity_truth_table,
     render_sbox,
 )
@@ -54,6 +56,7 @@ from .walsh import (
     WalshSpectrum,
     fwht_column_in_place,
     fwht_rowmajor,
+    fwht_rows_in_place,
     walsh_direct,
     write_spectrum,
 )
@@ -82,6 +85,7 @@ __all__ = [
     "fwht_fused",
     "fwht_parallel",
     "fwht_rowmajor",
+    "fwht_rows_in_place",
     "fwht_transposed",
     "generate_sbox",
     "identity_sbox",
@@ -92,6 +96,7 @@ __all__ = [
     "parse_sbox",
     "partition_columns",
     "polarity_row",
+    "polarity_rows",
     "polarity_truth_table",
     "read_csv",
     "render_sbox",

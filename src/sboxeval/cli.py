@@ -102,11 +102,15 @@ def _output(path: str | None):
             yield fh
 
 
+def _check_stream(mode: str, methods: Sequence[str]) -> None:
+    if mode == "stream" and any(m not in STREAM_METHODS for m in methods):
+        raise UsageError(f"--mode stream applies only to --method {'/'.join(STREAM_METHODS)}")
+
+
 def cmd_nl(args) -> int:
     if args.workers is not None and args.method not in WORKER_METHODS:
         raise UsageError(f"--workers applies only to --method {'/'.join(WORKER_METHODS)}")
-    if args.mode == "stream" and args.method not in STREAM_METHODS:
-        raise UsageError(f"--mode stream applies only to --method {'/'.join(STREAM_METHODS)}")
+    _check_stream(args.mode, [args.method])
     budget = _resolve_budget(args)
     s = _load_sbox(args.path)
     result = evaluate(s, method=args.method, workers=args.workers, mode=args.mode, max_bytes=budget)
@@ -134,6 +138,7 @@ def cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+    _check_stream(args.mode, methods)
     try:
         workers = [_positive_int(w) for w in args.workers.split(",")]
     except argparse.ArgumentTypeError as exc:
@@ -154,6 +159,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.bijective and args.n != args.m:
+        raise UsageError(f"--bijective requires n == m, got {args.n}x{args.m}")
     s = generate_sbox(args.n, args.m, args.seed, args.bijective)
     with _output(args.out) as out:
         out.write(render_sbox(s))
@@ -269,7 +276,7 @@ def build_parser() -> _Parser:
     p_gen = sub.add_parser("gen", help="generate a random S-box")
     p_gen.add_argument("n", type=_bit_count)
     p_gen.add_argument("m", type=_bit_count)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_int_in(0), default=0)
     p_gen.add_argument("--bijective", action="store_true")
     p_gen.add_argument("--out", default=None, help=".sbox output (default: stdout)")
     p_gen.set_defaults(func=cmd_gen)
@@ -300,8 +307,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_SIZE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except MemoryBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MemoryBudgetError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         print("hint: --mode stream avoids retaining the full spectrum",
               file=sys.stderr)
         return EXIT_MEMORY

@@ -2,15 +2,33 @@
 
 Full spectra grow as 2^(n+m) elements, so every operation that materializes
 one first checks ``memory_estimate`` against an optional byte budget, and
-records what it actually allocates.  The tracker only counts buffers that hold polarity/spectrum data
-(the full matrix in retain mode, per-worker column buffers in stream mode);
-transient arithmetic temporaries are not spectrum storage.
+records what it actually allocates.  The tracker only counts buffers that
+hold polarity/spectrum data (the full matrix in retain mode, per-worker
+block buffers in stream mode); transient arithmetic temporaries are not
+spectrum storage.
+
+Rows are filled and transformed in blocks of whole rows.  A retain-mode
+block is a view of the retained matrix of about ``RETAIN_BLOCK_ENTRIES``
+entries (256 KiB of int32, sized for L2); a stream-mode block is a
+per-worker buffer of one row, or of ``STREAM_BLOCK_ENTRIES`` entries (2 KiB)
+when a row is smaller.  The stream block is kept that small so that a
+stream run still fits budgets of a few rows: an 8x8 box on two workers
+needs 7 KiB.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+
+
+RETAIN_BLOCK_ENTRIES = 1 << 16
+STREAM_BLOCK_ENTRIES = 1 << 9
+
+
+def block_rows(n: int, entries: int) -> int:
+    """Whole rows of 2^n entries in a block of ``entries`` entries (at least one)."""
+    return max(1, entries >> n)
 
 
 class MemoryBudgetError(RuntimeError):
@@ -78,14 +96,17 @@ def memory_estimate(
     """Bytes of spectrum + maxima storage an evaluation will need.
 
     Retain mode holds the whole (2^m - 1) x 2^n matrix; stream mode holds one
-    column buffer per worker plus one spare.  Both include the per-mask maxima
-    array.  The result may exceed physical memory; callers decide.
+    block buffer per worker plus one spare, each the larger of one row and
+    ``STREAM_BLOCK_ENTRIES`` entries (2 KiB).  Both include the
+    per-mask maxima array.  The result may exceed physical memory; callers
+    decide.
     """
     maxima = (1 << m) * element_width
     if mode == "retain":
         return ((1 << m) - 1) * (1 << n) * element_width + maxima
     if mode == "stream":
-        return (workers + 1) * (1 << n) * element_width + maxima
+        block = max(1 << n, STREAM_BLOCK_ENTRIES)
+        return (workers + 1) * block * element_width + maxima
     raise ValueError(f"mode must be 'retain' or 'stream', got {mode!r}")
 
 

@@ -1,15 +1,24 @@
-"""The transform engine: the butterfly over mask-major spectrum columns.
+"""The transform engine: the butterfly over blocks of mask-major rows.
 
-Each output mask v owns one contiguous row of 2^n entries.  The engine
-butterflies every row, folds the row's max |W| into a per-component
-nonlinearity on the last pass, and splits the masks into balanced contiguous
-ranges, one worker thread per range.  Workers own disjoint rows and maxima
-slots, so the data plane needs no locks; the only synchronization is the
-completion barrier.  Retain mode keeps the transformed matrix; stream mode
-gives each worker one reusable column buffer and keeps only the maxima.
-Results are bit-identical for every worker count.  On one worker the engine
-is the fused transform (``fwht_fused``), and its retained spectrum is the
-transposed transform (``fwht_transposed``).
+Each output mask v owns one contiguous row of 2^n entries.  The masks are
+split into balanced contiguous ranges, one worker thread per range, and each
+worker walks its range one block of rows at a time: it fills the block's
+polarity rows (``polarity_rows``), butterflies the whole block while it is
+still in cache (``fwht_rows_in_place``), and writes the block's per-mask
+nonlinearities.  Every step is one numpy call per block, so the per-call
+cost is paid per block rather than per row, and the threads spend their time
+in numpy code that runs without the interpreter lock.
+
+The two modes share that loop and differ only in where a block lives.  In
+retain mode it is a view of the retained matrix, ``RETAIN_BLOCK_ENTRIES``
+entries (256 KiB) at a time, so no storage beyond the spectrum is needed.
+In stream mode it is a per-worker buffer of one row, or of 2 KiB
+(``STREAM_BLOCK_ENTRIES`` entries) when a row is smaller, and only the
+maxima are kept.  Workers own disjoint rows, buffers and maxima slots, so the
+data plane needs no locks; the only synchronization is the completion
+barrier.  Results are bit-identical for every worker count.  On one worker
+the engine is the fused transform (``fwht_fused``), and its retained
+spectrum is the transposed transform (``fwht_transposed``).
 """
 
 from __future__ import annotations
@@ -21,9 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import check_budget, memory_estimate, spectrum_allocations
-from .sbox import SBox, polarity_row, polarity_truth_table
-from .walsh import ColumnMaxima, WalshSpectrum, column_nonlinearity, fwht_column_in_place
+from .memory import (
+    RETAIN_BLOCK_ENTRIES,
+    STREAM_BLOCK_ENTRIES,
+    block_rows,
+    check_budget,
+    memory_estimate,
+    spectrum_allocations,
+)
+from .sbox import SBox, polarity_rows
+from .walsh import ColumnMaxima, WalshSpectrum, column_nonlinearity, fwht_rows_in_place
 
 
 @dataclass(frozen=True)
@@ -71,8 +87,9 @@ def fwht_parallel(
 
     Returns the retained spectrum (None in stream mode) and the per-column
     nonlinearities.  Output is bit-identical for every worker count.  When
-    ``timings`` is given, it receives ``build_s`` (budget check and polarity
-    build) and ``transform_s`` (butterfly and maxima).
+    ``timings`` is given, it receives ``build_s`` (budget check and storage
+    allocation) and ``transform_s`` (polarity fill, butterfly and maxima,
+    block by block in the workers).
     """
     if mode not in ("retain", "stream"):
         raise ValueError(f"mode must be 'retain' or 'stream', got {mode!r}")
@@ -81,48 +98,49 @@ def fwht_parallel(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    part = partition_columns((1 << s.m) - 1, workers)
-    maxima = np.zeros((1 << s.m) - 1, dtype=np.int64)
+    total = (1 << s.m) - 1
+    part = partition_columns(total, workers)
+    maxima = np.zeros(total, dtype=np.int64)
     pw = 1 << s.n
 
     t0 = time.perf_counter()
+    check_budget(
+        memory_estimate(s.n, s.m, mode=mode, workers=len(part.ranges)), max_bytes
+    )
     if mode == "retain":
-        rows = polarity_truth_table(s, max_bytes).rows
-        spectrum_allocations.charge(rows.nbytes)
-
-        def work(rng: tuple[int, int]) -> None:
-            for v in range(*rng):
-                _, max_abs = fwht_column_in_place(rows[v - 1])
-                maxima[v - 1] = column_nonlinearity(pw, max_abs)
-
+        step = block_rows(s.n, RETAIN_BLOCK_ENTRIES)
+        rows = np.empty((total, pw), dtype=np.int32)
+        storage = [rows]
     else:
-        check_budget(
-            memory_estimate(s.n, s.m, mode="stream", workers=len(part.ranges)),
-            max_bytes,
-        )
+        step = block_rows(s.n, STREAM_BLOCK_ENTRIES)
         rows = None
+        storage = [np.empty((step, pw), dtype=np.int32) for _ in part.ranges]
+    charged = sum(a.nbytes for a in storage)
+    spectrum_allocations.charge(charged)
 
-        def work(rng: tuple[int, int]) -> None:
-            buf = np.empty(pw, dtype=np.int32)
-            spectrum_allocations.charge(buf.nbytes)
-            try:
-                for v in range(*rng):
-                    polarity_row(s, v, out=buf)
-                    _, max_abs = fwht_column_in_place(buf)
-                    maxima[v - 1] = column_nonlinearity(pw, max_abs)
-            finally:
-                spectrum_allocations.release(buf.nbytes)
+    def work(worker: int, first: int, end: int) -> None:
+        for lo in range(first, end, step):
+            hi = min(lo + step, end)
+            # The modes differ only in where the block of masks lo..hi-1 lives.
+            if rows is not None:
+                block = rows[lo - 1 : hi - 1]
+            else:
+                block = storage[worker][: hi - lo]
+            polarity_rows(s, lo, hi, block)
+            maxima[lo - 1 : hi - 1] = column_nonlinearity(pw, fwht_rows_in_place(block))
 
     t1 = time.perf_counter()
     try:
         with ThreadPoolExecutor(max_workers=len(part.ranges)) as pool:
-            futures = [pool.submit(work, rng) for rng in part.ranges]
+            futures = [
+                pool.submit(work, i, first, end)
+                for i, (first, end) in enumerate(part.ranges)
+            ]
             for future in futures:  # completion barrier; re-raises worker errors
                 future.result()
         t2 = time.perf_counter()
     finally:
-        if rows is not None:
-            spectrum_allocations.release(rows.nbytes)
+        spectrum_allocations.release(charged)
 
     if timings is not None:
         timings["build_s"] = t1 - t0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory import check_budget, memory_estimate
+from .memory import RETAIN_BLOCK_ENTRIES, block_rows, check_budget, memory_estimate
 
 MAX_BITS = 24  # keeps index math in 64-bit range and memory bounded
 
@@ -111,11 +111,6 @@ def generate_sbox(n: int, m: int, seed: int, bijective: bool = False) -> SBox:
     return SBox(n, m, table)
 
 
-def _mask_parity(table: np.ndarray, v: int) -> np.ndarray:
-    """parity(v AND table[x]) for all x, as a uint8 array of 0/1."""
-    return np.bitwise_count(table & np.uint32(v)) & np.uint8(1)
-
-
 def component_value(s: SBox, v: int, x: int) -> int:
     """Value of the component combination g_v at input x: parity of v AND S(x)."""
     if not (0 <= v < (1 << s.m)):
@@ -139,21 +134,40 @@ class PolarityTruthTable:
     rows: np.ndarray = field(repr=False)
 
 
-def polarity_row(s: SBox, v: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Fill (or allocate) one polarity row: +1 where g_v(x)=0, -1 where g_v(x)=1."""
-    if out is None:
-        out = np.empty(1 << s.n, dtype=np.int32)
-    out[:] = _mask_parity(s.table, v)
+def polarity_rows(s: SBox, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Fill out[i] with the polarity row of mask lo + i, for masks lo..hi-1.
+
+    One broadcast over the whole (hi - lo, 2^n) block: +1 where g_v(x) = 0,
+    -1 where g_v(x) = 1.  ``out`` may be any view of that shape, strided or
+    not; temporaries are the size of the block.
+    """
+    masks = np.arange(lo, hi, dtype=np.uint32)
+    out[...] = np.bitwise_count(masks[:, None] & s.table[None, :]) & np.uint8(1)
     out *= -2
     out += 1
     return out
 
 
+def polarity_row(s: SBox, v: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Fill (or allocate) one polarity row: +1 where g_v(x)=0, -1 where g_v(x)=1."""
+    if out is None:
+        out = np.empty(1 << s.n, dtype=np.int32)
+    polarity_rows(s, v, v + 1, out[None])
+    return out
+
+
+def fill_polarity(s: SBox, rows: np.ndarray) -> None:
+    """Fill every row of a (2^m - 1) x 2^n view, one block of masks per call."""
+    step = block_rows(s.n, RETAIN_BLOCK_ENTRIES)
+    for lo in range(1, 1 << s.m, step):
+        hi = min(lo + step, 1 << s.m)
+        polarity_rows(s, lo, hi, rows[lo - 1 : hi - 1])
+
+
 def polarity_truth_table(s: SBox, max_bytes: int | None = None) -> PolarityTruthTable:
     check_budget(memory_estimate(s.n, s.m, mode="retain"), max_bytes)
     rows = np.empty(((1 << s.m) - 1, 1 << s.n), dtype=np.int32)
-    for v in range(1, 1 << s.m):
-        polarity_row(s, v, out=rows[v - 1])
+    fill_polarity(s, rows)
     return PolarityTruthTable(s.n, s.m, rows)
 
 

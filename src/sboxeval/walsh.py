@@ -5,15 +5,19 @@ sum_x (-1)^{g_v(x) XOR <u, x>}; one fixed output mask v gives one spectrum
 column of 2^n entries.  This module holds the pieces every route shares:
 
 * ``walsh_direct``         -- literal evaluation of the defining sum (the oracle)
-* ``fwht_column_in_place`` -- the butterfly over one column, which also
-                              harvests the column's max |W| on its last pass
-* ``fwht_rowmajor``        -- the same butterfly over strided columns of an
-                              x-major store, kept as the slow baseline of the
-                              layout experiment
+* ``fwht_rows_in_place``   -- the butterfly, the only one in the package: it
+                              transforms a whole block of rows with one numpy
+                              call per step and returns each row's max |W|
+* ``fwht_column_in_place`` -- the same butterfly over a single (possibly
+                              strided) column, a one-row block
+* ``fwht_rowmajor``        -- that butterfly over strided columns of an
+                              x-major store, one column at a time, kept as the
+                              slow baseline of the layout experiment
 
-The fast engine lives in ``parallel.fwht_parallel``: it runs the butterfly
-over contiguous rows of a mask-major store, spread over worker threads.
-Every route produces bit-identical integer spectra.
+The fast engine lives in ``parallel.fwht_parallel``: workers fill cache-sized
+blocks of contiguous mask-major rows and run ``fwht_rows_in_place`` on each
+block while it is still in cache.  Every route produces bit-identical
+integer spectra.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import IO
 import numpy as np
 
 from .memory import check_budget, memory_estimate, spectrum_allocations
-from .sbox import SBox
+from .sbox import SBox, fill_polarity
 
 
 @dataclass(frozen=True)
@@ -69,46 +73,58 @@ def walsh_direct(s: SBox, u: int, v: int) -> int:
     return (1 << s.n) - 2 * ones
 
 
-def fwht_column_in_place(col: np.ndarray) -> tuple[np.ndarray, int]:
-    """In-place Walsh-Hadamard butterfly over one length-2^k signed column.
+def fwht_rows_in_place(block: np.ndarray) -> np.ndarray:
+    """In-place Walsh-Hadamard butterfly over every row of an (R, 2^k) block.
 
-    For each stage j = 1, 2, ..., len/2 and every index pair (i, i+j) with
-    (i AND j) == 0, replaces (a, b) with (a + b, a - b).  Accepts any
-    uniformly strided 1-D view, so it runs identically on a contiguous
-    mask-major row or a strided x-major column.
+    For each stage j = 1, 2, ..., 2^k / 2 and every index pair (i, i+j) with
+    (i AND j) == 0, replaces (a, b) with (a + b, a - b) -- one numpy call per
+    arithmetic step covers all R rows, so the per-call cost is paid once per
+    block, not once per row.  Accepts any view whose rows are uniformly
+    strided, so it runs on contiguous mask-major blocks and on strided
+    x-major columns alike.
 
-    Returns the column and the maximum absolute entry, collected from the
-    values finished during the last stage (after which every entry holds its
-    final spectrum value).
+    Returns each row's max |W| as int64, read after the last stage, when
+    every entry holds its final spectrum value.
     """
-    length = col.shape[0]
+    rows, length = block.shape
     if length == 0 or (length & (length - 1)) != 0:
-        raise ValueError(f"column length must be a power of two, got {length}")
-    if length == 1:
-        return col, abs(int(col[0]))
-    max_abs = 0
+        raise ValueError(f"row length must be a power of two, got {length}")
     j = 1
     while j < length:
-        pairs = col.reshape(-1, 2, j)
-        lo = pairs[:, 0, :]
-        hi = pairs[:, 1, :]
-        # (a, b) <- (a + b, a - b) without a scratch column:
-        #   hi = a - b,  lo = 2a - (a - b) = a + b
-        np.subtract(lo, hi, out=hi)
-        lo *= 2
-        np.subtract(lo, hi, out=lo)
-        if 2 * j == length:
-            max_abs = max(int(np.abs(lo).max()), int(np.abs(hi).max()))
+        pairs = block.reshape(rows, -1, 2, j)
+        # Runs of j < 8 contiguous pairs are too short for numpy's inner loop;
+        # one strided call per offset k gives the same update long runs.
+        for k in range(j) if j < 8 else (slice(None),):
+            lo = pairs[:, :, 0, k]
+            hi = pairs[:, :, 1, k]
+            # (a, b) <- (a + b, a - b) without a scratch block:
+            #   hi = a - b,  lo = 2a - (a - b) = a + b
+            np.subtract(lo, hi, out=hi)
+            lo *= 2
+            np.subtract(lo, hi, out=lo)
         j <<= 1
-    return col, max_abs
+    return np.maximum(block.max(1).astype(np.int64), -block.min(1).astype(np.int64))
 
 
-def column_nonlinearity(pw: int, max_abs: int) -> int:
-    """(2^n - max|W|) / 2; the difference is always even for true spectra."""
+def fwht_column_in_place(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """The butterfly over one length-2^k column (any uniformly strided 1-D view).
+
+    Returns the transformed column and its maximum absolute entry.
+    """
+    return col, int(fwht_rows_in_place(col[None])[0])
+
+
+def column_nonlinearity(pw: int, max_abs: np.ndarray) -> np.ndarray:
+    """(2^n - max|W|) / 2 for each row maximum.
+
+    The gap is always even for true spectra; an odd gap in any row means the
+    row is not a genuine Walsh column.
+    """
     diff = pw - max_abs
-    if diff & 1:
+    odd = diff[(diff & 1) != 0]
+    if odd.size:
         raise AssertionError(
-            f"odd spectrum gap {diff}: column is not a genuine Walsh column"
+            f"odd spectrum gap {int(odd[0])}: column is not a genuine Walsh column"
         )
     return diff >> 1
 
@@ -120,13 +136,8 @@ def build_polarity_xmajor(s: SBox, max_bytes: int | None = None) -> np.ndarray:
     matrix; kept only so the layout cost is measurable.
     """
     check_budget(memory_estimate(s.n, s.m, mode="retain"), max_bytes)
-    masks = np.arange(1, 1 << s.m, dtype=np.uint32)
     wt = np.empty((1 << s.n, (1 << s.m) - 1), dtype=np.int32)
-    for x in range(1 << s.n):
-        row = wt[x, :]
-        row[:] = np.bitwise_count(masks & s.table[x]) & np.uint8(1)
-        row *= -2
-        row += 1
+    fill_polarity(s, wt.T)
     return wt
 
 

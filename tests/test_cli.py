@@ -108,6 +108,19 @@ class TestNl:
         assert main(["nl", path, "--method", method, "--workers", "3"]) == 1
         assert "--workers" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_3_with_stream_hint(self, tmp_path, monkeypatch, capsys):
+        # no budget resolves, so only numpy's allocation can fail
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 64.0 GiB")
+
+        monkeypatch.delenv("SBOX_EVAL_MAX_MEM", raising=False)
+        monkeypatch.setattr("sboxeval.cli.default_budget", lambda: None)
+        monkeypatch.setattr("sboxeval.cli.evaluate", exhausted)
+        path = write_box(tmp_path, "r4.sbox", 4, 4, seed=2)
+        assert main(["nl", path]) == 3
+        err = capsys.readouterr().err
+        assert "Unable to allocate" in err and "--mode stream" in err
+
     @pytest.mark.parametrize("method", ["rowmajor", "transposed"])
     def test_stream_with_retaining_method_is_a_usage_error(
         self, tmp_path, capsys, method
@@ -181,6 +194,20 @@ class TestBench:
         assert main(["bench", path, "--methods", "parallel", "--workers", "1,0"]) == 1
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("methods", ["rowmajor", "fused,transposed"])
+    def test_stream_with_retaining_method_exits_1(self, tmp_path, capsys, methods):
+        path = write_box(tmp_path, "r4.sbox", 4, 4, seed=8)
+        assert main(["bench", path, "--methods", methods, "--mode", "stream",
+                     "--reps", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "--mode stream" in captured.err and captured.out == ""
+
+    def test_stream_with_streaming_methods(self, tmp_path, capsys):
+        path = write_box(tmp_path, "r4.sbox", 4, 4, seed=8)
+        assert main(["bench", path, "--methods", "fused,parallel", "--mode", "stream",
+                     "--reps", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
     def test_csv_file_roundtrip(self, tmp_path):
         from sboxeval import read_csv
 
@@ -206,9 +233,15 @@ class TestGen:
         s = parse_sbox(capsys.readouterr().out)
         assert sorted(s.table) == list(range(16))
 
-    def test_bijective_needs_square_exits_2(self, capsys):
-        assert main(["gen", "4", "3", "--bijective"]) == 2
+    def test_bijective_needs_square_exits_1(self, capsys):
+        assert main(["gen", "4", "3", "--bijective"]) == 1
         assert "n == m" in capsys.readouterr().err
+
+    def test_negative_seed_exits_1_naming_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "4", "4", "--seed", "-1"])
+        assert exc.value.code == 1
+        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n,m", [("30", "30"), ("0", "4"), ("4", "25")])
     def test_bits_out_of_range_exit_1(self, n, m):

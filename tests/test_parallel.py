@@ -8,7 +8,24 @@ from sboxeval import (
     partition_columns,
     spectrum_allocations,
 )
-from sboxeval.memory import MemoryBudgetError
+from sboxeval.memory import (
+    RETAIN_BLOCK_ENTRIES,
+    STREAM_BLOCK_ENTRIES,
+    MemoryBudgetError,
+    block_rows,
+    memory_estimate,
+)
+
+
+def hadamard_spectrum(s):
+    """Independent reference: polarity matrix times the Sylvester H_n, in int64."""
+    parity = np.bitwise_count(
+        np.arange(1, 1 << s.m, dtype=np.uint32)[:, None] & s.table[None, :]
+    ) & 1
+    h = np.ones((1, 1), dtype=np.int64)
+    for _ in range(s.n):
+        h = np.block([[h, h], [h, -h]])
+    return (1 - 2 * parity.astype(np.int64)) @ h
 
 
 class TestPartition:
@@ -95,3 +112,39 @@ class TestParallelTransform:
         s = generate_sbox(8, 8, seed=4)
         with pytest.raises(MemoryBudgetError):
             fwht_parallel(s, workers=2, mode="retain", max_bytes=4096)
+
+
+class TestBlocks:
+    """Blocks that straddle worker ranges and end partially, against H_n."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_retain_2x16(self, workers):
+        s = generate_sbox(2, 16, seed=41)
+        step = block_rows(2, RETAIN_BLOCK_ENTRIES)
+        ranges = partition_columns((1 << 16) - 1, workers).ranges
+        assert any((b - a) % step for a, b in ranges)  # a partial last block
+        expected = hadamard_spectrum(s)
+        spec, cm = fwht_parallel(s, workers=workers, mode="retain")
+        assert np.array_equal(spec.rows, expected)
+        assert np.array_equal(cm.values, (4 - np.abs(expected).max(axis=1)) // 2)
+
+    @pytest.mark.parametrize("n", [6, 1])
+    def test_stream_n_by_12_three_workers(self, n):
+        s = generate_sbox(n, 12, seed=42 + n)
+        step = block_rows(n, STREAM_BLOCK_ENTRIES)
+        assert step > 1 and all((b - a) % step for a, b in partition_columns(4095, 3).ranges)
+        expected = hadamard_spectrum(s)
+        spec, cm = fwht_parallel(s, workers=3, mode="stream")
+        assert spec is None
+        assert np.array_equal(cm.values, ((1 << n) - np.abs(expected).max(axis=1)) // 2)
+
+    @pytest.mark.parametrize("n,m,workers", [(6, 12, 3), (10, 10, 4), (3, 2, 8)])
+    def test_stream_peak_is_the_worker_buffers(self, n, m, workers):
+        s = generate_sbox(n, m, seed=43)
+        used = len(partition_columns((1 << m) - 1, workers).ranges)
+        buffer_bytes = block_rows(n, STREAM_BLOCK_ENTRIES) * (1 << n) * 4
+        spectrum_allocations.reset_peak()
+        fwht_parallel(s, workers=workers, mode="stream")
+        assert spectrum_allocations.peak_bytes == used * buffer_bytes
+        assert spectrum_allocations.peak_bytes <= memory_estimate(n, m, mode="stream", workers=used)
+        assert spectrum_allocations.current_bytes == 0

@@ -11,6 +11,7 @@ from sboxeval import (
     identity_sbox,
     memory_estimate,
     parse_sbox,
+    polarity_rows,
     polarity_truth_table,
     render_sbox,
 )
@@ -183,6 +184,21 @@ class TestPolarityTruthTable:
         with pytest.raises(MemoryBudgetError):
             polarity_truth_table(generate_sbox(8, 8, seed=1), max_bytes=1000)
 
+    def test_blocked_fill_matches_definition_across_blocks(self):
+        # 32,767 masks of 8 entries fill in 8,192-row blocks, the last one partial
+        s = generate_sbox(3, 15, seed=19)
+        parity = np.array([[(v & int(y)).bit_count() & 1 for y in s.table]
+                           for v in range(1, 1 << 15)])
+        assert np.array_equal(polarity_truth_table(s).rows, 1 - 2 * parity)
+
+    def test_rows_fill_a_strided_view(self):
+        s = generate_sbox(4, 3, seed=20)
+        xmajor = np.zeros((16, 7), dtype=np.int32)
+        polarity_rows(s, 2, 6, xmajor.T[1:5])
+        expected = polarity_truth_table(s).rows
+        assert np.array_equal(xmajor.T[1:5], expected[1:5])
+        assert np.all(xmajor[:, [0, 5, 6]] == 0)
+
 
 class TestMemoryEstimate:
     def test_retain_8x8(self):
@@ -195,6 +211,11 @@ class TestMemoryEstimate:
 
     def test_stream_16x16_ten_workers(self):
         assert memory_estimate(16, 16, 4, "stream", workers=10) == 12 * (1 << 16) * 4
+
+    def test_stream_below_n9_counts_2kib_blocks(self):
+        # rows of 64 entries travel in 2 KiB blocks of 8 rows: two workers'
+        # blocks plus one spare, and the 2^14-entry maxima array
+        assert memory_estimate(6, 14, 4, "stream", workers=2) == 3 * 2**9 * 4 + 2**14 * 4
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

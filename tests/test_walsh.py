@@ -8,6 +8,7 @@ from sboxeval import (
     fwht_column_in_place,
     fwht_fused,
     fwht_rowmajor,
+    fwht_rows_in_place,
     fwht_transposed,
     generate_sbox,
     identity_sbox,
@@ -15,6 +16,7 @@ from sboxeval import (
     write_spectrum,
 )
 from sboxeval.memory import MemoryBudgetError
+from sboxeval.walsh import column_nonlinearity
 
 
 def direct_transform_oracle(col):
@@ -106,6 +108,58 @@ class TestColumnKernel:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             fwht_column_in_place(np.ones(6, dtype=np.int32))
+
+
+def sylvester(k):
+    """H_k by the Sylvester doubling [[H, H], [H, -H]], in int64."""
+    h = np.ones((1, 1), dtype=np.int64)
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+class TestRowsKernel:
+    @pytest.mark.parametrize("rows,k", [(1, 0), (1, 1), (5, 2), (7, 3), (16, 6), (3, 8)])
+    def test_against_sylvester_product(self, rows, k):
+        rng = np.random.default_rng(200 + k)
+        values = rng.integers(-9, 10, size=(rows, 1 << k))
+        block = values.astype(np.int32)
+        max_abs = fwht_rows_in_place(block)
+        expected = values @ sylvester(k)  # H_k is symmetric
+        assert np.array_equal(block, expected)
+        assert max_abs.dtype == np.int64
+        assert np.array_equal(max_abs, np.abs(expected).max(axis=1))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 9])
+    def test_rows_agree_with_per_column_kernel(self, k):
+        rng = np.random.default_rng(300 + k)
+        block = rng.choice([-1, 1], size=(11, 1 << k)).astype(np.int32)
+        cols = block.copy()
+        max_abs = fwht_rows_in_place(block)
+        per_col = [fwht_column_in_place(col)[1] for col in cols]
+        assert np.array_equal(block, cols)
+        assert list(max_abs) == per_col
+
+    def test_rows_of_a_strided_view(self):
+        mat = np.zeros((8, 5), dtype=np.int32)
+        mat[:, 1:4] = np.tile([1, 1, 1, -1, 1, 1, 1, -1], (3, 1)).T
+        max_abs = fwht_rows_in_place(mat.T[1:4])
+        assert np.all(mat[:, [0, 4]] == 0)
+        assert np.array_equal(mat.T[1:4], np.tile([4, 4, 4, -4, 0, 0, 0, 0], (3, 1)))
+        assert list(max_abs) == [4, 4, 4]
+
+    def test_rejects_non_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            fwht_rows_in_place(np.ones((2, 12), dtype=np.int32))
+
+    def test_non_walsh_row_in_a_block_fails_the_gap_check(self):
+        # rows 0 and 2 are genuine polarity rows; row 1 holds a 2, so its
+        # transform has the odd maximum 5 and an odd gap to 2^n
+        block = np.array([[1, 1, 1, -1], [1, 1, 1, 2], [1, -1, 1, -1]], dtype=np.int32)
+        max_abs = fwht_rows_in_place(block)
+        assert list(column_nonlinearity(4, max_abs[[0, 2]])) == [1, 0]
+        with pytest.raises(AssertionError, match="odd spectrum gap"):
+            column_nonlinearity(4, max_abs)
 
 
 class TestTransformVariants:
