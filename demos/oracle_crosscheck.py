@@ -10,7 +10,7 @@
 import numpy as np
 
 from sboxeval import (
-    fwht_fused,
+    fwht_parallel,
     generate_sbox,
     nonlinearity_bruteforce,
     nonlinearity_from_maxima,
@@ -21,7 +21,7 @@ from sboxeval import (
 s = generate_sbox(5, 5, seed=3, bijective=True)
 print(f"box: random bijective {s.n}x{s.m}, seed 3")
 
-spectrum, maxima = fwht_fused(s, mode="retain")
+spectrum, maxima = fwht_parallel(s, 1, "retain")
 
 mismatches = sum(
     int(spectrum.rows[v - 1, u]) != walsh_direct(s, u, v)

@@ -18,7 +18,7 @@ from .bench import (
     speedup_report,
     write_csv,
 )
-from .memory import AllocationTracker, MemoryBudgetError, memory_estimate, spectrum_allocations
+from .memory import MemoryBudgetError, memory_estimate, spectrum_allocations
 from .nonlinearity import (
     METHODS,
     NonlinearityResult,
@@ -29,11 +29,8 @@ from .nonlinearity import (
     nonlinearity_from_spectrum,
 )
 from .parallel import (
-    ColumnPartition,
     default_workers,
-    fwht_fused,
     fwht_parallel,
-    fwht_transposed,
     partition_columns,
 )
 from .sbox import (
@@ -42,7 +39,6 @@ from .sbox import (
     SBox,
     SBoxFormatError,
     aes_sbox,
-    component_value,
     generate_sbox,
     identity_sbox,
     parse_sbox,
@@ -63,11 +59,9 @@ from .walsh import (
 
 __all__ = [
     "AES_SBOX",
-    "AllocationTracker",
     "BenchRecord",
     "BenchVerificationError",
     "ColumnMaxima",
-    "ColumnPartition",
     "METHODS",
     "MemoryBudgetError",
     "NonlinearityResult",
@@ -78,15 +72,12 @@ __all__ = [
     "SpeedupRow",
     "WalshSpectrum",
     "aes_sbox",
-    "component_value",
     "default_workers",
     "evaluate",
     "fwht_column_in_place",
-    "fwht_fused",
     "fwht_parallel",
     "fwht_rowmajor",
     "fwht_rows_in_place",
-    "fwht_transposed",
     "generate_sbox",
     "identity_sbox",
     "memory_estimate",

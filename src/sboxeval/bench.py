@@ -20,7 +20,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .nonlinearity import METHODS, WORKER_METHODS, NonlinearityResult, nonlinearity_from_maxima
-from .parallel import fwht_fused
+from .parallel import fwht_parallel
 from .sbox import SBox
 from .walsh import WalshSpectrum
 
@@ -120,7 +120,7 @@ def run_benchmark(
     names = sorted(set(methods))
     if unknown := set(names) - set(METHODS):
         raise ValueError(f"unknown method(s) {sorted(unknown)}; expected one of {tuple(METHODS)}")
-    ref_spectrum, ref_cm = fwht_fused(s, mode=mode, max_bytes=max_bytes)
+    ref_spectrum, ref_cm = fwht_parallel(s, 1, mode, max_bytes)
     ref_value = nonlinearity_from_maxima(ref_cm).value
     ref_rows = ref_spectrum.rows if ref_spectrum is not None else None
 

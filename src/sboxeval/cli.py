@@ -27,7 +27,7 @@ from .nonlinearity import (
     nonlinearity_from_maxima,
     nonlinearity_from_spectrum,
 )
-from .parallel import default_workers, fwht_fused, fwht_parallel
+from .parallel import default_workers, fwht_parallel
 from .sbox import MAX_BITS, SBox, SBoxFormatError, generate_sbox, parse_sbox, render_sbox
 from .walsh import fwht_rowmajor, walsh_direct, write_spectrum
 
@@ -94,12 +94,16 @@ def _resolve_budget(args) -> int | None:
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """The file at ``path`` opened for writing, or stdout when path is None."""
+    """The file at ``path`` opened for writing (a usage error if it cannot be), or stdout."""
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+    with fh:
+        yield fh
 
 
 def _check_stream(mode: str, methods: Sequence[str]) -> None:
@@ -138,6 +142,8 @@ def cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+    if not methods:
+        raise UsageError(f"--methods names no method; choose from {tuple(METHODS)}")
     _check_stream(args.mode, methods)
     try:
         workers = [_positive_int(w) for w in args.workers.split(",")]
@@ -145,15 +151,16 @@ def cmd_bench(args) -> int:
         raise UsageError(f"--workers: {exc}") from None
     budget = _resolve_budget(args)
     s = _load_sbox(args.path)
-    records = bench.run_benchmark(
-        s,
-        methods,
-        worker_counts=workers,
-        repetitions=args.reps,
-        mode=args.mode,
-        max_bytes=budget,
-    )
+    # Opened first, so an unwritable --out fails before any run is timed.
     with _output(args.out) as out:
+        records = bench.run_benchmark(
+            s,
+            methods,
+            worker_counts=workers,
+            repetitions=args.reps,
+            mode=args.mode,
+            max_bytes=budget,
+        )
         bench.write_csv(records, out)
     return EXIT_OK
 
@@ -185,7 +192,7 @@ def cmd_verify(args) -> int:
     budget = _resolve_budget(args)
     max_workers = args.max_workers or default_workers()
 
-    ref_spec, maxima = fwht_fused(s, mode="retain", max_bytes=budget)
+    ref_spec, maxima = fwht_parallel(s, 1, "retain", budget)
     spectrum = ref_spec
     if args.inject_corruption:
         rows = spectrum.rows.copy()
@@ -243,8 +250,8 @@ def build_parser() -> _Parser:
                             "or 75%% of physical RAM)")
         if modes:
             p.add_argument("--mode", choices=("retain", "stream"), default="retain",
-                           help="keep the whole spectrum, or stream one column "
-                                "per worker (default: retain)")
+                           help="keep the whole spectrum, or stream one block "
+                                "of rows per worker (default: retain)")
 
     p_nl = sub.add_parser("nl", help="compute the nonlinearity of an S-box")
     p_nl.add_argument("path", help=".sbox file")

@@ -46,7 +46,8 @@ class MemoryBudgetError(RuntimeError):
 class AllocationTracker:
     """Counts live bytes of spectrum storage and the peak since last reset.
 
-    Thread-safe: parallel workers charge their column buffers concurrently.
+    ``fwht_parallel`` charges its storage once, from the calling thread,
+    before its workers start; the lock guards concurrent evaluations.
     """
 
     def __init__(self) -> None:

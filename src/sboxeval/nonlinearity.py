@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import fwht_parallel, fwht_transposed
+from .parallel import fwht_parallel
 from .sbox import SBox
 from .walsh import ColumnMaxima, WalshSpectrum, fwht_rowmajor
 
@@ -90,7 +90,7 @@ def _run_rowmajor(s, method, workers, mode, max_bytes, timings):
 
 
 def _run_transposed(s, method, workers, mode, max_bytes, timings):
-    spectrum = fwht_transposed(s, max_bytes, timings)
+    spectrum, _ = fwht_parallel(s, 1, "retain", max_bytes, timings)
     return nonlinearity_from_spectrum(spectrum, method), spectrum
 
 

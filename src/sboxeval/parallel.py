@@ -16,9 +16,10 @@ In stream mode it is a per-worker buffer of one row, or of 2 KiB
 (``STREAM_BLOCK_ENTRIES`` entries) when a row is smaller, and only the
 maxima are kept.  Workers own disjoint rows, buffers and maxima slots, so the
 data plane needs no locks; the only synchronization is the completion
-barrier.  Results are bit-identical for every worker count.  On one worker
-the engine is the fused transform (``fwht_fused``), and its retained
-spectrum is the transposed transform (``fwht_transposed``).
+barrier.  Results are bit-identical for every worker count.  Every method
+of ``nonlinearity.METHODS`` except ``rowmajor`` and ``bruteforce`` is this
+one call: ``fused`` runs it on one worker, and ``transposed`` scans the
+spectrum that one worker retains.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,20 +42,13 @@ from .sbox import SBox, polarity_rows
 from .walsh import ColumnMaxima, WalshSpectrum, column_nonlinearity, fwht_rows_in_place
 
 
-@dataclass(frozen=True)
-class ColumnPartition:
-    """Disjoint, ordered, half-open mask ranges covering {1, ..., total}."""
+def partition_columns(total_columns: int, workers: int) -> tuple[tuple[int, int], ...]:
+    """Split masks 1..total_columns into at most ``workers`` balanced ranges.
 
-    ranges: tuple[tuple[int, int], ...]
-    worker_count: int
-
-
-def partition_columns(total_columns: int, workers: int) -> ColumnPartition:
-    """Split ``total_columns`` masks into at most ``workers`` balanced ranges.
-
-    Sizes differ by at most one; the remainder is spread over the leading
-    ranges so no column is dropped.  More workers than columns degrades to
-    one singleton range per column.
+    Returns disjoint, ordered, half-open ``(first, end)`` ranges covering
+    {1, ..., total_columns}.  Sizes differ by at most one; the remainder is
+    spread over the leading ranges so no column is dropped.  More workers
+    than columns degrades to one singleton range per column.
     """
     if total_columns < 1:
         raise ValueError(f"total_columns must be >= 1, got {total_columns}")
@@ -63,13 +56,8 @@ def partition_columns(total_columns: int, workers: int) -> ColumnPartition:
         raise ValueError(f"workers must be >= 1, got {workers}")
     count = min(workers, total_columns)
     base, extra = divmod(total_columns, count)
-    ranges = []
-    start = 1
-    for i in range(count):
-        size = base + (1 if i < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ColumnPartition(tuple(ranges), workers)
+    bounds = [1 + i * base + min(i, extra) for i in range(count + 1)]
+    return tuple(zip(bounds, bounds[1:]))
 
 
 def default_workers() -> int:
@@ -99,13 +87,13 @@ def fwht_parallel(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     total = (1 << s.m) - 1
-    part = partition_columns(total, workers)
+    ranges = partition_columns(total, workers)
     maxima = np.zeros(total, dtype=np.int64)
     pw = 1 << s.n
 
     t0 = time.perf_counter()
     check_budget(
-        memory_estimate(s.n, s.m, mode=mode, workers=len(part.ranges)), max_bytes
+        memory_estimate(s.n, s.m, mode=mode, workers=len(ranges)), max_bytes
     )
     if mode == "retain":
         step = block_rows(s.n, RETAIN_BLOCK_ENTRIES)
@@ -114,7 +102,7 @@ def fwht_parallel(
     else:
         step = block_rows(s.n, STREAM_BLOCK_ENTRIES)
         rows = None
-        storage = [np.empty((step, pw), dtype=np.int32) for _ in part.ranges]
+        storage = [np.empty((step, pw), dtype=np.int32) for _ in ranges]
     charged = sum(a.nbytes for a in storage)
     spectrum_allocations.charge(charged)
 
@@ -131,10 +119,10 @@ def fwht_parallel(
 
     t1 = time.perf_counter()
     try:
-        with ThreadPoolExecutor(max_workers=len(part.ranges)) as pool:
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             futures = [
                 pool.submit(work, i, first, end)
-                for i, (first, end) in enumerate(part.ranges)
+                for i, (first, end) in enumerate(ranges)
             ]
             for future in futures:  # completion barrier; re-raises worker errors
                 future.result()
@@ -149,21 +137,3 @@ def fwht_parallel(
     spectrum = WalshSpectrum(s.n, s.m, rows) if rows is not None else None
     return spectrum, ColumnMaxima(s.n, s.m, maxima)
 
-
-def fwht_fused(
-    s: SBox,
-    mode: str = "retain",
-    max_bytes: int | None = None,
-    timings: dict | None = None,
-) -> tuple[WalshSpectrum | None, ColumnMaxima]:
-    """The engine on one worker: spectrum (None in stream mode) and maxima."""
-    return fwht_parallel(s, 1, mode, max_bytes, timings)
-
-
-def fwht_transposed(
-    s: SBox,
-    max_bytes: int | None = None,
-    timings: dict | None = None,
-) -> WalshSpectrum:
-    """The engine's retained spectrum on one worker."""
-    return fwht_parallel(s, 1, "retain", max_bytes, timings)[0]

@@ -84,12 +84,6 @@ class SBox:
             and np.array_equal(self.table, other.table)
         )
 
-    def __len__(self) -> int:
-        return 1 << self.n
-
-    def is_bijective(self) -> bool:
-        return self.n == self.m and np.unique(self.table).size == len(self)
-
 
 def aes_sbox() -> SBox:
     return SBox(8, 8, np.array(AES_SBOX, dtype=np.uint32))
@@ -111,15 +105,7 @@ def generate_sbox(n: int, m: int, seed: int, bijective: bool = False) -> SBox:
     return SBox(n, m, table)
 
 
-def component_value(s: SBox, v: int, x: int) -> int:
-    """Value of the component combination g_v at input x: parity of v AND S(x)."""
-    if not (0 <= v < (1 << s.m)):
-        raise IndexError(f"output mask {v} out of range 0..{(1 << s.m) - 1}")
-    if not (0 <= x < (1 << s.n)):
-        raise IndexError(f"input {x} out of range 0..{(1 << s.n) - 1}")
-    return (v & int(s.table[x])).bit_count() & 1
-
-
+# Kept with polarity_truth_table for the per-layer trace of perfbench/worker.py.
 @dataclass(frozen=True)
 class PolarityTruthTable:
     """(2^m - 1) x 2^n matrix; rows[v-1][x] = (-1)^{g_v(x)} for masks v = 1..2^m-1.
@@ -148,6 +134,7 @@ def polarity_rows(s: SBox, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+# Kept for the per-layer trace of perfbench/worker.py, which fills row by row.
 def polarity_row(s: SBox, v: int, out: np.ndarray | None = None) -> np.ndarray:
     """Fill (or allocate) one polarity row: +1 where g_v(x)=0, -1 where g_v(x)=1."""
     if out is None:
@@ -164,6 +151,7 @@ def fill_polarity(s: SBox, rows: np.ndarray) -> None:
         polarity_rows(s, lo, hi, rows[lo - 1 : hi - 1])
 
 
+# Kept for the per-layer trace of perfbench/worker.py (its "build" layer).
 def polarity_truth_table(s: SBox, max_bytes: int | None = None) -> PolarityTruthTable:
     check_budget(memory_estimate(s.n, s.m, mode="retain"), max_bytes)
     rows = np.empty(((1 << s.m) - 1, 1 << s.n), dtype=np.int32)

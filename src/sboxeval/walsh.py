@@ -106,6 +106,7 @@ def fwht_rows_in_place(block: np.ndarray) -> np.ndarray:
     return np.maximum(block.max(1).astype(np.int64), -block.min(1).astype(np.int64))
 
 
+# Kept for the per-layer trace of perfbench/worker.py, which times it row by row.
 def fwht_column_in_place(col: np.ndarray) -> tuple[np.ndarray, int]:
     """The butterfly over one length-2^k column (any uniformly strided 1-D view).
 
@@ -129,24 +130,6 @@ def column_nonlinearity(pw: int, max_abs: np.ndarray) -> np.ndarray:
     return diff >> 1
 
 
-def build_polarity_xmajor(s: SBox, max_bytes: int | None = None) -> np.ndarray:
-    """x-major polarity store: wt[x][v-1], rows indexed by input, 2^m-1 wide.
-
-    This is the layout whose per-column transform strides across the whole
-    matrix; kept only so the layout cost is measurable.
-    """
-    check_budget(memory_estimate(s.n, s.m, mode="retain"), max_bytes)
-    wt = np.empty((1 << s.n, (1 << s.m) - 1), dtype=np.int32)
-    fill_polarity(s, wt.T)
-    return wt
-
-
-def transform_xmajor_in_place(wt: np.ndarray) -> None:
-    """Butterfly every spectrum column of an x-major store (strided access)."""
-    for z in range(wt.shape[1]):
-        fwht_column_in_place(wt[:, z])
-
-
 def fwht_rowmajor(
     s: SBox,
     max_bytes: int | None = None,
@@ -160,11 +143,14 @@ def fwht_rowmajor(
     variants.
     """
     t0 = time.perf_counter()
-    wt = build_polarity_xmajor(s, max_bytes)
+    check_budget(memory_estimate(s.n, s.m, mode="retain"), max_bytes)
+    wt = np.empty((1 << s.n, (1 << s.m) - 1), dtype=np.int32)  # wt[x][v-1]
+    fill_polarity(s, wt.T)
     spectrum_allocations.charge(wt.nbytes)
     try:
         t1 = time.perf_counter()
-        transform_xmajor_in_place(wt)
+        for z in range(wt.shape[1]):
+            fwht_rows_in_place(wt[:, z][None])
         t2 = time.perf_counter()
         rows = np.ascontiguousarray(wt.T)
     finally:

@@ -16,10 +16,8 @@ import pytest
 from sboxeval import (
     aes_sbox,
     evaluate,
-    fwht_fused,
     fwht_parallel,
     fwht_rowmajor,
-    fwht_transposed,
     generate_sbox,
     nonlinearity_bruteforce,
     nonlinearity_from_maxima,
@@ -67,10 +65,10 @@ def test_oracle_equivalence_sweep():
     for n, m in sizes:
         for seed in range(50):
             s = generate_sbox(n, m, seed)
-            spectrum = fwht_transposed(s)
+            spectrum = fwht_parallel(s, 1, "retain")[0]
             if not np.array_equal(fwht_rowmajor(s).rows, spectrum.rows):
                 ok = False
-            retained, cm = fwht_fused(s, mode="retain")
+            retained, cm = fwht_parallel(s, 1, "retain")
             if not np.array_equal(retained.rows, spectrum.rows):
                 ok = False
             for v in range(1, 1 << m):
@@ -97,7 +95,7 @@ def test_parseval_suite():
     ok = True
     for seed in range(20):
         n, m = sizes[seed % len(sizes)]
-        spectrum, _ = fwht_fused(generate_sbox(n, m, seed), mode="retain")
+        spectrum, _ = fwht_parallel(generate_sbox(n, m, seed), 1, "retain")
         sums = np.sum(spectrum.rows.astype(np.int64) ** 2, axis=1)
         if not np.all(sums == np.int64(1) << (2 * n)):
             ok = False
@@ -119,11 +117,11 @@ def test_thread_determinism():
 
 def test_partition_properties_exhaustive():
     """Worked example (15, 8) plus every (columns <= 4096, workers <= 64)."""
-    sizes = [b - a for a, b in partition_columns(15, 8).ranges]
+    sizes = [b - a for a, b in partition_columns(15, 8)]
     ok = sizes == [2, 2, 2, 2, 2, 2, 2, 1]
     for columns in range(1, 4097):
         for workers in range(1, 65):
-            ranges = partition_columns(columns, workers).ranges
+            ranges = partition_columns(columns, workers)
             if len(ranges) > workers:
                 ok = False
             if ranges[0][0] != 1 or ranges[-1][1] != columns + 1:
@@ -177,7 +175,7 @@ def test_stream_mode_memory(tmp_path, capsys):
     path = tmp_path / "r14.sbox"
     path.write_text(render_sbox(s))
 
-    _, cm = fwht_fused(s, mode="retain")
+    _, cm = fwht_parallel(s, 1, "retain")
     retain_value = nonlinearity_from_maxima(cm).value
 
     workers = 1

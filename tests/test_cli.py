@@ -168,6 +168,12 @@ class TestWalsh:
         assert main(["walsh", str(path)]) == 4
         assert "refusing" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_1_naming_it(self, tmp_path, capsys):
+        path = write_box(tmp_path, "r3.sbox", 3, 3, seed=5)
+        out = tmp_path / "missing" / "r3.wspec"
+        assert main(["walsh", path, "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
+
 
 class TestBench:
     def test_csv_on_stdout(self, tmp_path, capsys):
@@ -218,6 +224,25 @@ class TestBench:
         rows = read_csv(out.read_text())
         assert rows[0]["method"] == "fused" and rows[0]["repetitions"] == 2
 
+    def test_unwritable_out_exits_1_before_any_run(self, tmp_path, capsys, monkeypatch):
+        from sboxeval import cli
+
+        def no_runs(*args, **kwargs):
+            raise AssertionError("benchmark ran before --out was opened")
+
+        monkeypatch.setattr(cli.bench, "run_benchmark", no_runs)
+        path = write_box(tmp_path, "r3.sbox", 3, 3, seed=9)
+        out = tmp_path / "missing" / "report.csv"
+        assert main(["bench", path, "--methods", "fused", "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods", [",", " , "])
+    def test_empty_method_list_exits_1(self, tmp_path, capsys, methods):
+        path = write_box(tmp_path, "r3.sbox", 3, 3, seed=9)
+        assert main(["bench", path, "--methods", methods]) == 1
+        captured = capsys.readouterr()
+        assert "--methods" in captured.err and captured.out == ""
+
 
 class TestGen:
     def test_writes_parseable_deterministic_box(self, tmp_path, capsys):
@@ -242,6 +267,11 @@ class TestGen:
             main(["gen", "4", "4", "--seed", "-1"])
         assert exc.value.code == 1
         assert "--seed" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_1_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.sbox"
+        assert main(["gen", "4", "4", "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
 
     @pytest.mark.parametrize("n,m", [("30", "30"), ("0", "4"), ("4", "25")])
     def test_bits_out_of_range_exit_1(self, n, m):

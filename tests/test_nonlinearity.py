@@ -6,8 +6,7 @@ from sboxeval import (
     SizeCapError,
     aes_sbox,
     evaluate,
-    fwht_fused,
-    fwht_transposed,
+    fwht_parallel,
     generate_sbox,
     identity_sbox,
     nonlinearity_bruteforce,
@@ -18,40 +17,40 @@ from sboxeval import (
 
 class TestSpectrumScan:
     def test_aes(self):
-        result = nonlinearity_from_spectrum(fwht_transposed(aes_sbox()))
+        result = nonlinearity_from_spectrum(fwht_parallel(aes_sbox(), 1, "retain")[0])
         assert result.value == 112
 
     def test_identity_is_linear(self):
         for n in (2, 4, 6):
-            assert nonlinearity_from_spectrum(fwht_transposed(identity_sbox(n))).value == 0
+            assert nonlinearity_from_spectrum(fwht_parallel(identity_sbox(n), 1, "retain")[0]).value == 0
 
     def test_matches_bruteforce_on_5x5(self):
         s = generate_sbox(5, 5, seed=3)
-        scan = nonlinearity_from_spectrum(fwht_transposed(s))
+        scan = nonlinearity_from_spectrum(fwht_parallel(s, 1, "retain")[0])
         assert scan.value == nonlinearity_bruteforce(s).value
 
 
 class TestMaximaReduction:
     def test_aes(self):
-        _, cm = fwht_fused(aes_sbox(), mode="retain")
+        _, cm = fwht_parallel(aes_sbox(), 1, "retain")
         assert nonlinearity_from_maxima(cm).value == 112
 
     def test_identity_zero(self):
-        _, cm = fwht_fused(identity_sbox(4), mode="retain")
+        _, cm = fwht_parallel(identity_sbox(4), 1, "retain")
         result = nonlinearity_from_maxima(cm)
         assert result.value == 0
         assert result.argmin_v == 1  # ties broken by smallest mask
 
     def test_matches_spectrum_path_on_6x6(self):
         s = generate_sbox(6, 6, seed=11)
-        spectrum, cm = fwht_fused(s, mode="retain")
+        spectrum, cm = fwht_parallel(s, 1, "retain")
         scan = nonlinearity_from_spectrum(spectrum)
         reduced = nonlinearity_from_maxima(cm)
         assert scan.value == reduced.value
         assert scan.argmin_v == reduced.argmin_v
 
     def test_value_equals_values_at_argmin(self):
-        _, cm = fwht_fused(generate_sbox(5, 6, seed=23), mode="stream")
+        _, cm = fwht_parallel(generate_sbox(5, 6, seed=23), 1, "stream")
         result = nonlinearity_from_maxima(cm)
         assert result.value == int(cm.values[result.argmin_v - 1])
 
@@ -66,8 +65,8 @@ class TestBruteforce:
         table = np.arange(16, dtype=np.uint32) ^ 0b1011
         s = SBox(4, 4, table)
         assert nonlinearity_bruteforce(s).value == 0
-        assert nonlinearity_from_spectrum(fwht_transposed(s)).value == 0
-        _, cm = fwht_fused(s, mode="stream")
+        assert nonlinearity_from_spectrum(fwht_parallel(s, 1, "retain")[0]).value == 0
+        _, cm = fwht_parallel(s, 1, "stream")
         assert nonlinearity_from_maxima(cm).value == 0
 
     def test_aes_is_112(self):
@@ -80,7 +79,7 @@ class TestBruteforce:
     @pytest.mark.parametrize("seed", range(50))
     def test_oracle_sweep_5x5(self, seed):
         s = generate_sbox(5, 5, seed=seed)
-        _, cm = fwht_fused(s, mode="retain")
+        _, cm = fwht_parallel(s, 1, "retain")
         assert nonlinearity_from_maxima(cm).value == nonlinearity_bruteforce(s).value
 
 
@@ -89,7 +88,7 @@ class TestProperties:
     def test_bent_concatenation_bound(self, n, seed):
         # even n = m: value <= 2^{n-1} - 2^{n/2 - 1}
         s = generate_sbox(n, n, seed)
-        _, cm = fwht_fused(s, mode="retain")
+        _, cm = fwht_parallel(s, 1, "retain")
         assert nonlinearity_from_maxima(cm).value <= (1 << (n - 1)) - (1 << (n // 2 - 1))
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -98,8 +97,8 @@ class TestProperties:
         s = generate_sbox(5, 4, seed)
         extra = rng.integers(0, 2, size=32).astype(np.uint32)
         extended = SBox(5, 5, s.table | (extra << 4))
-        _, cm_small = fwht_fused(s, mode="retain")
-        _, cm_big = fwht_fused(extended, mode="retain")
+        _, cm_small = fwht_parallel(s, 1, "retain")
+        _, cm_big = fwht_parallel(extended, 1, "retain")
         assert (
             nonlinearity_from_maxima(cm_big).value
             <= nonlinearity_from_maxima(cm_small).value

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sboxeval import (
-    fwht_fused,
     fwht_parallel,
     generate_sbox,
     partition_columns,
@@ -30,23 +29,19 @@ def hadamard_spectrum(s):
 
 class TestPartition:
     def test_fifteen_columns_eight_workers(self):
-        part = partition_columns(15, 8)
-        assert [b - a for a, b in part.ranges] == [2, 2, 2, 2, 2, 2, 2, 1]
+        ranges = partition_columns(15, 8)
+        assert [b - a for a, b in ranges] == [2, 2, 2, 2, 2, 2, 2, 1]
 
     def test_single_worker(self):
-        part = partition_columns(7, 1)
-        assert part.ranges == ((1, 8),)
+        assert partition_columns(7, 1) == ((1, 8),)
 
     def test_more_workers_than_columns(self):
-        part = partition_columns(3, 8)
-        assert part.ranges == ((1, 2), (2, 3), (3, 4))
-        assert part.worker_count == 8
+        assert partition_columns(3, 8) == ((1, 2), (2, 3), (3, 4))
 
     @pytest.mark.parametrize("columns", [1, 2, 63, 255, 1023])
     @pytest.mark.parametrize("workers", [1, 3, 7, 16])
     def test_partition_properties(self, columns, workers):
-        part = partition_columns(columns, workers)
-        ranges = part.ranges
+        ranges = partition_columns(columns, workers)
         assert len(ranges) <= workers
         assert ranges[0][0] == 1
         assert ranges[-1][1] == columns + 1
@@ -66,7 +61,7 @@ class TestPartition:
 class TestParallelTransform:
     def test_single_worker_equals_fused(self):
         s = generate_sbox(6, 6, seed=9, bijective=True)
-        spec_f, cm_f = fwht_fused(s, mode="retain")
+        spec_f, cm_f = fwht_parallel(s, 1, "retain")
         spec_p, cm_p = fwht_parallel(s, workers=1, mode="retain")
         assert np.array_equal(spec_f.rows, spec_p.rows)
         assert np.array_equal(cm_f.values, cm_p.values)
@@ -84,7 +79,7 @@ class TestParallelTransform:
         s = generate_sbox(7, 7, seed=31)
         spec, cm_stream = fwht_parallel(s, workers=workers, mode="stream")
         assert spec is None
-        _, cm_retain = fwht_fused(s, mode="retain")
+        _, cm_retain = fwht_parallel(s, 1, "retain")
         assert np.array_equal(cm_stream.values, cm_retain.values)
 
     def test_stream_buffer_accounting(self):
@@ -121,7 +116,7 @@ class TestBlocks:
     def test_retain_2x16(self, workers):
         s = generate_sbox(2, 16, seed=41)
         step = block_rows(2, RETAIN_BLOCK_ENTRIES)
-        ranges = partition_columns((1 << 16) - 1, workers).ranges
+        ranges = partition_columns((1 << 16) - 1, workers)
         assert any((b - a) % step for a, b in ranges)  # a partial last block
         expected = hadamard_spectrum(s)
         spec, cm = fwht_parallel(s, workers=workers, mode="retain")
@@ -132,7 +127,7 @@ class TestBlocks:
     def test_stream_n_by_12_three_workers(self, n):
         s = generate_sbox(n, 12, seed=42 + n)
         step = block_rows(n, STREAM_BLOCK_ENTRIES)
-        assert step > 1 and all((b - a) % step for a, b in partition_columns(4095, 3).ranges)
+        assert step > 1 and all((b - a) % step for a, b in partition_columns(4095, 3))
         expected = hadamard_spectrum(s)
         spec, cm = fwht_parallel(s, workers=3, mode="stream")
         assert spec is None
@@ -141,7 +136,7 @@ class TestBlocks:
     @pytest.mark.parametrize("n,m,workers", [(6, 12, 3), (10, 10, 4), (3, 2, 8)])
     def test_stream_peak_is_the_worker_buffers(self, n, m, workers):
         s = generate_sbox(n, m, seed=43)
-        used = len(partition_columns((1 << m) - 1, workers).ranges)
+        used = len(partition_columns((1 << m) - 1, workers))
         buffer_bytes = block_rows(n, STREAM_BLOCK_ENTRIES) * (1 << n) * 4
         spectrum_allocations.reset_peak()
         fwht_parallel(s, workers=workers, mode="stream")

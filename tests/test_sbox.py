@@ -6,7 +6,6 @@ from sboxeval import (
     SBox,
     SBoxFormatError,
     aes_sbox,
-    component_value,
     generate_sbox,
     identity_sbox,
     memory_estimate,
@@ -121,25 +120,31 @@ class TestSBoxInvariants:
             s.table[0] = 5
 
 
+def component(s, v, x):
+    """g_v(x) from its definition: the parity of v AND S(x)."""
+    return (v & int(s.table[x])).bit_count() & 1
+
+
+def polarity_block(s, lo, hi):
+    """The polarity rows of masks lo..hi-1, through polarity_rows."""
+    return polarity_rows(s, lo, hi, np.empty((hi - lo, 1 << s.n), dtype=np.int32))
+
+
 class TestComponentValue:
     def test_zero_mask_is_constant_zero(self):
         s = generate_sbox(4, 4, seed=5)
-        assert all(component_value(s, 0, x) == 0 for x in range(16))
+        assert all(component(s, 0, x) == 0 for x in range(16))
+        assert np.all(polarity_block(s, 0, 1) == 1)
 
     def test_identity_bit0(self):
-        assert component_value(identity_sbox(3), 0b001, 5) == 1
+        assert component(identity_sbox(3), 0b001, 5) == 1
+        assert polarity_block(identity_sbox(3), 0b001, 0b010)[0, 5] == -1
 
     def test_aes_full_mask_at_zero(self):
         # parity of S(0) = 0x63; independent oracle: Python's bit counting
         expected = bin(0x63).count("1") & 1
-        assert component_value(aes_sbox(), 0xFF, 0) == expected == 0
-
-    def test_range_checks(self):
-        s = identity_sbox(3)
-        with pytest.raises(IndexError):
-            component_value(s, 8, 0)
-        with pytest.raises(IndexError):
-            component_value(s, 1, 8)
+        assert component(aes_sbox(), 0xFF, 0) == expected == 0
+        assert polarity_block(aes_sbox(), 0xFF, 0x100)[0, 0] == 1
 
 
 class TestPolarityTruthTable:
@@ -163,16 +168,16 @@ class TestPolarityTruthTable:
     @pytest.mark.parametrize("n,m,seed", [(4, 4, 2), (6, 6, 3), (5, 6, 4), (6, 5, 8)])
     def test_sign_to_bit_roundtrip(self, n, m, seed):
         s = generate_sbox(n, m, seed)
-        rows = polarity_truth_table(s).rows
+        rows = polarity_block(s, 1, 1 << m)
         for v in range(1, 1 << m):
             for x in range(1 << n):
-                assert (1 - int(rows[v - 1, x])) // 2 == component_value(s, v, x)
+                assert (1 - int(rows[v - 1, x])) // 2 == component(s, v, x)
 
     def test_row_sums_track_component_weight(self):
         s = generate_sbox(5, 4, seed=13)
-        rows = polarity_truth_table(s).rows
+        rows = polarity_block(s, 1, 16)
         for v in range(1, 16):
-            weight = sum(component_value(s, v, x) for x in range(32))
+            weight = sum(component(s, v, x) for x in range(32))
             assert int(rows[v - 1].sum()) == 32 - 2 * weight
 
     def test_bijective_rows_balanced(self):

@@ -6,10 +6,9 @@ import pytest
 from sboxeval import (
     aes_sbox,
     fwht_column_in_place,
-    fwht_fused,
+    fwht_parallel,
     fwht_rowmajor,
     fwht_rows_in_place,
-    fwht_transposed,
     generate_sbox,
     identity_sbox,
     walsh_direct,
@@ -178,32 +177,32 @@ class TestTransformVariants:
     def test_variants_bit_identical_on_6x4(self):
         s = generate_sbox(6, 4, seed=42)
         a = fwht_rowmajor(s)
-        b = fwht_transposed(s)
-        c, _ = fwht_fused(s, mode="retain")
+        b = fwht_parallel(s, 1, "retain")[0]
+        c, _ = fwht_parallel(s, 1, "retain")
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(b.rows, c.rows)
 
     @pytest.mark.parametrize("n,m,seed", [(4, 4, 0), (5, 3, 1), (3, 5, 2)])
     def test_transposed_matches_direct_everywhere(self, n, m, seed):
         s = generate_sbox(n, m, seed)
-        w = fwht_transposed(s)
+        w = fwht_parallel(s, 1, "retain")[0]
         for v in range(1, 1 << m):
             for u in range(1 << n):
                 assert int(w.rows[v - 1, u]) == walsh_direct(s, u, v)
 
     @pytest.mark.parametrize("n,m,seed", [(5, 5, 6), (6, 6, 7), (4, 7, 8)])
     def test_parseval_rows(self, n, m, seed):
-        w = fwht_transposed(generate_sbox(n, m, seed))
+        w = fwht_parallel(generate_sbox(n, m, seed), 1, "retain")[0]
         sums = np.sum(w.rows.astype(np.int64) ** 2, axis=1)
         assert np.all(sums == 1 << (2 * n))
 
     def test_spectrum_row_parity(self):
         # every entry of a row shares parity with 2^n
-        w = fwht_transposed(generate_sbox(5, 4, seed=9))
+        w = fwht_parallel(generate_sbox(5, 4, seed=9), 1, "retain")[0]
         assert np.all(w.rows % 2 == 0)
 
     def test_zero_mask_accessor(self):
-        w = fwht_transposed(identity_sbox(3))
+        w = fwht_parallel(identity_sbox(3), 1, "retain")[0]
         assert w.value(0, 0) == 8
         assert w.value(5, 0) == 0
 
@@ -212,44 +211,44 @@ class TestTransformVariants:
         with pytest.raises(MemoryBudgetError):
             fwht_rowmajor(s, max_bytes=1024)
         with pytest.raises(MemoryBudgetError):
-            fwht_fused(s, mode="retain", max_bytes=1024)
+            fwht_parallel(s, 1, "retain", 1024)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="retain.*stream"):
-            fwht_fused(identity_sbox(2), mode="drop")
+            fwht_parallel(identity_sbox(2), 1, "drop")
 
 
 class TestFused:
     def test_aes_minimum_is_112(self):
-        _, cm = fwht_fused(aes_sbox(), mode="retain")
+        _, cm = fwht_parallel(aes_sbox(), 1, "retain")
         assert int(cm.values.min()) == 112
 
     def test_identity_all_zero(self):
-        _, cm = fwht_fused(identity_sbox(4), mode="retain")
+        _, cm = fwht_parallel(identity_sbox(4), 1, "retain")
         assert np.all(cm.values == 0)
 
     def test_5x5_bijection_against_direct_oracle(self):
         s = generate_sbox(5, 5, seed=3, bijective=True)
-        _, cm = fwht_fused(s, mode="retain")
+        _, cm = fwht_parallel(s, 1, "retain")
         for v in range(1, 32):
             max_direct = max(abs(walsh_direct(s, u, v)) for u in range(32))
             assert int(cm.values[v - 1]) == (32 - max_direct) // 2
 
     def test_maxima_consistent_with_retained_spectrum(self):
         s = generate_sbox(6, 5, seed=14)
-        spectrum, cm = fwht_fused(s, mode="retain")
+        spectrum, cm = fwht_parallel(s, 1, "retain")
         rescan = (64 - np.abs(spectrum.rows).max(axis=1)) // 2
         assert np.array_equal(cm.values, rescan)
 
     def test_stream_equals_retain(self):
         s = generate_sbox(7, 6, seed=15)
-        spectrum, cm_stream = fwht_fused(s, mode="stream")
+        spectrum, cm_stream = fwht_parallel(s, 1, "stream")
         assert spectrum is None
-        _, cm_retain = fwht_fused(s, mode="retain")
+        _, cm_retain = fwht_parallel(s, 1, "retain")
         assert np.array_equal(cm_stream.values, cm_retain.values)
 
     def test_column_count(self):
-        _, cm = fwht_fused(generate_sbox(4, 6, seed=16), mode="stream")
+        _, cm = fwht_parallel(generate_sbox(4, 6, seed=16), 1, "stream")
         assert cm.values.shape == (63,)
         assert np.all(cm.values >= 0) and np.all(cm.values <= 8)
 
@@ -257,7 +256,7 @@ class TestFused:
 class TestSpectrumDump:
     def test_identity_2x2_dump(self):
         buf = io.StringIO()
-        write_spectrum(fwht_transposed(identity_sbox(2)), buf)
+        write_spectrum(fwht_parallel(identity_sbox(2), 1, "retain")[0], buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "2 2"
         assert len(lines) == 4
