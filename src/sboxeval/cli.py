@@ -2,7 +2,8 @@
 
 Results go to stdout; everything else goes to stderr so output can be piped.
 Exit codes are stable: 0 success, 1 usage, 2 parse, 3 memory budget,
-4 size guard, 5 verification failure.
+4 size guard, 5 verification failure.  Any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -46,6 +47,18 @@ MAX_MEM_ENV = "SBOX_EVAL_MAX_MEM"
 
 class UsageError(Exception):
     """Command-line input that argparse cannot reject on its own (exit 1)."""
+
+
+# The exit code of every error the CLI reports, found along the exception's MRO.
+EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    SBoxFormatError: EXIT_PARSE,
+    UnicodeDecodeError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+    MemoryBudgetError: EXIT_MEMORY,
+    MemoryError: EXIT_MEMORY,
+    SizeCapError: EXIT_SIZE,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -305,20 +318,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SBoxFormatError, OSError, ValueError) as exc:
-        if isinstance(exc, SizeCapError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SIZE
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (MemoryBudgetError, MemoryError) as exc:
+    except tuple(EXIT_CODES) as exc:
+        code = next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        print("hint: --mode stream avoids retaining the full spectrum",
-              file=sys.stderr)
-        return EXIT_MEMORY
+        if code == EXIT_MEMORY:
+            print("hint: --mode stream avoids retaining the full spectrum",
+                  file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,34 +1,32 @@
-"""Memory budgets and accounting for spectrum storage.
+"""The storage plan, byte budgets and accounting for spectrum storage.
 
-Full spectra grow as 2^(n+m) elements, so every operation that materializes
-one first checks ``memory_estimate`` against an optional byte budget, and
-records what it actually allocates.  The tracker only counts buffers that
-hold polarity/spectrum data (the full matrix in retain mode, per-worker
-block buffers in stream mode); transient arithmetic temporaries are not
-spectrum storage.
+Full spectra grow as 2^(n+m) elements, so one function, ``storage_plan``,
+decides the storage of an evaluation: the rows per block and the shape of
+every int32 buffer.  ``memory_estimate`` is the plan's byte total, and
+``allocate_storage`` checks that total against an optional byte budget,
+allocates the plan's buffers and charges them to ``spectrum_allocations``.
 
-Rows are filled and transformed in blocks of whole rows.  A retain-mode
-block is a view of the retained matrix of about ``RETAIN_BLOCK_ENTRIES``
-entries (256 KiB of int32, sized for L2); a stream-mode block is a
-per-worker buffer of one row, or of ``STREAM_BLOCK_ENTRIES`` entries (2 KiB)
-when a row is smaller.  The stream block is kept that small so that a
-stream run still fits budgets of a few rows: an 8x8 box on two workers
-needs 7 KiB.
+A retain-mode block is a view of the retained matrix of about 2^16 entries
+(256 KiB, sized for L2).  A stream-mode block is a per-worker buffer of one
+row, or of 2^9 entries (2 KiB) when a row is smaller, so that a stream run
+fits budgets of a few rows: an 8x8 box on two workers needs 5,116 bytes.
+Both modes add the int32 per-mask maxima.  numpy's ufunc buffers (up to
+three of ``np.getbufsize()`` elements per running worker) and small
+per-block temporaries are transient and not planned.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import threading
+from dataclasses import dataclass
 
+import numpy as np
 
-RETAIN_BLOCK_ENTRIES = 1 << 16
-STREAM_BLOCK_ENTRIES = 1 << 9
-
-
-def block_rows(n: int, entries: int) -> int:
-    """Whole rows of 2^n entries in a block of ``entries`` entries (at least one)."""
-    return max(1, entries >> n)
+_RETAIN_BLOCK_ENTRIES = 1 << 16
+_STREAM_BLOCK_ENTRIES = 1 << 9
 
 
 class MemoryBudgetError(RuntimeError):
@@ -44,10 +42,11 @@ class MemoryBudgetError(RuntimeError):
 
 
 class AllocationTracker:
-    """Counts live bytes of spectrum storage and the peak since last reset.
+    """Counts live bytes of planned storage and the peak since last reset.
 
-    ``fwht_parallel`` charges its storage once, from the calling thread,
-    before its workers start; the lock guards concurrent evaluations.
+    ``allocate_storage`` charges a whole plan once, from the calling thread,
+    before any worker starts, and releases it when the evaluation ends; the
+    lock guards concurrent evaluations.
     """
 
     def __init__(self) -> None:
@@ -87,28 +86,54 @@ def check_budget(required: int, max_bytes: int | None) -> None:
         raise MemoryBudgetError(required, max_bytes)
 
 
-def memory_estimate(
-    n: int,
-    m: int,
-    element_width: int = 4,
-    mode: str = "retain",
-    workers: int = 1,
-) -> int:
-    """Bytes of spectrum + maxima storage an evaluation will need.
+@dataclass(frozen=True)
+class StoragePlan:
+    """Rows per block and the shape of every int32 buffer, the maxima last."""
 
-    Retain mode holds the whole (2^m - 1) x 2^n matrix; stream mode holds one
-    block buffer per worker plus one spare, each the larger of one row and
-    ``STREAM_BLOCK_ENTRIES`` entries (2 KiB).  Both include the
-    per-mask maxima array.  The result may exceed physical memory; callers
-    decide.
+    rows_per_block: int
+    shapes: tuple[tuple[int, ...], ...]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(math.prod(shape) for shape in self.shapes) * 4
+
+
+def storage_plan(n: int, m: int, mode: str = "retain", workers: int = 1) -> StoragePlan:
+    """The int32 buffers an evaluation of an n x m box allocates.
+
+    Retain mode holds the whole (2^m - 1) x 2^n matrix; stream mode holds
+    one block buffer per worker.  Both hold the (2^m - 1) per-mask maxima.
     """
-    maxima = (1 << m) * element_width
+    total, row = (1 << m) - 1, 1 << n
     if mode == "retain":
-        return ((1 << m) - 1) * (1 << n) * element_width + maxima
-    if mode == "stream":
-        block = max(1 << n, STREAM_BLOCK_ENTRIES)
-        return (workers + 1) * block * element_width + maxima
-    raise ValueError(f"mode must be 'retain' or 'stream', got {mode!r}")
+        step = max(1, _RETAIN_BLOCK_ENTRIES >> n)
+        blocks = ((total, row),)
+    elif mode == "stream":
+        step = max(1, _STREAM_BLOCK_ENTRIES >> n)
+        blocks = ((step, row),) * workers
+    else:
+        raise ValueError(f"mode must be 'retain' or 'stream', got {mode!r}")
+    return StoragePlan(step, blocks + ((total,),))
+
+
+def memory_estimate(n: int, m: int, mode: str = "retain", workers: int = 1) -> int:
+    """Bytes of planned storage an evaluation needs (``storage_plan``'s total).
+
+    The result may exceed physical memory; callers decide.
+    """
+    return storage_plan(n, m, mode, workers).nbytes
+
+
+@contextlib.contextmanager
+def allocate_storage(plan: StoragePlan, max_bytes: int | None, order: str = "C"):
+    """Check the plan against the budget, then yield its buffers, charged while in use."""
+    check_budget(plan.nbytes, max_bytes)
+    buffers = [np.empty(shape, dtype=np.int32, order=order) for shape in plan.shapes]
+    spectrum_allocations.charge(plan.nbytes)
+    try:
+        yield buffers
+    finally:
+        spectrum_allocations.release(plan.nbytes)
 
 
 def default_budget() -> int | None:

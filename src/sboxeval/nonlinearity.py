@@ -15,7 +15,7 @@ import numpy as np
 
 from .parallel import fwht_parallel
 from .sbox import SBox
-from .walsh import ColumnMaxima, WalshSpectrum, fwht_rowmajor
+from .walsh import ColumnMaxima, WalshSpectrum, column_nonlinearity, fwht_rowmajor, row_max_abs
 
 BRUTEFORCE_MAX_BITS = 8
 
@@ -34,16 +34,12 @@ class NonlinearityResult:
 def nonlinearity_from_spectrum(
     w: WalshSpectrum, method: str = "spectrum"
 ) -> NonlinearityResult:
-    """Scan a retained spectrum: 2^{n-1} - (max over v>=1, u of |W(u,v)|) / 2."""
-    # Row maxima without materializing |rows| (the spectrum can be GiB-sized).
-    row_max = np.maximum(
-        w.rows.max(axis=1).astype(np.int64), -(w.rows.min(axis=1).astype(np.int64))
-    )
-    idx = int(np.argmax(row_max))  # first occurrence = smallest mask
-    value = (1 << w.n) - int(row_max[idx])
-    if value & 1:
-        raise AssertionError("spectrum maximum has wrong parity")
-    return NonlinearityResult(value >> 1, idx + 1, method)
+    """Scan a retained spectrum: 2^{n-1} - (max over v>=1, u of |W(u,v)|) / 2.
+
+    Every row's gap must be even, as in the engine's fused maxima.
+    """
+    values = column_nonlinearity(1 << w.n, row_max_abs(w.rows))
+    return nonlinearity_from_maxima(ColumnMaxima(w.n, w.m, values), method)
 
 
 def nonlinearity_from_maxima(

@@ -9,13 +9,13 @@ nonlinearities.  Every step is one numpy call per block, so the per-call
 cost is paid per block rather than per row, and the threads spend their time
 in numpy code that runs without the interpreter lock.
 
-The two modes share that loop and differ only in where a block lives.  In
-retain mode it is a view of the retained matrix, ``RETAIN_BLOCK_ENTRIES``
-entries (256 KiB) at a time, so no storage beyond the spectrum is needed.
-In stream mode it is a per-worker buffer of one row, or of 2 KiB
-(``STREAM_BLOCK_ENTRIES`` entries) when a row is smaller, and only the
-maxima are kept.  Workers own disjoint rows, buffers and maxima slots, so the
-data plane needs no locks; the only synchronization is the completion
+The two modes share that loop and differ only in where a block lives; the
+storage plan (``memory.storage_plan``) sets the block size and every buffer.
+In retain mode a block is a view of the retained matrix, about 256 KiB at a
+time, so no storage beyond the spectrum is needed.  In stream mode it is a
+per-worker buffer of one row, or of 2 KiB when a row is smaller, and only the
+int32 maxima are kept.  Workers own disjoint rows, buffers and maxima slots,
+so the data plane needs no locks; the only synchronization is the completion
 barrier.  Results are bit-identical for every worker count.  Every method
 of ``nonlinearity.METHODS`` except ``rowmajor`` and ``bruteforce`` is this
 one call: ``fused`` runs it on one worker, and ``transposed`` scans the
@@ -28,16 +28,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from .memory import (
-    RETAIN_BLOCK_ENTRIES,
-    STREAM_BLOCK_ENTRIES,
-    block_rows,
-    check_budget,
-    memory_estimate,
-    spectrum_allocations,
-)
+from .memory import allocate_storage, storage_plan
 from .sbox import SBox, polarity_rows
 from .walsh import ColumnMaxima, WalshSpectrum, column_nonlinearity, fwht_rows_in_place
 
@@ -79,46 +70,28 @@ def fwht_parallel(
     allocation) and ``transform_s`` (polarity fill, butterfly and maxima,
     block by block in the workers).
     """
-    if mode not in ("retain", "stream"):
-        raise ValueError(f"mode must be 'retain' or 'stream', got {mode!r}")
     if workers is None:
         workers = default_workers()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    total = (1 << s.m) - 1
-    ranges = partition_columns(total, workers)
-    maxima = np.zeros(total, dtype=np.int64)
-    pw = 1 << s.n
+    ranges = partition_columns((1 << s.m) - 1, workers)
+    plan = storage_plan(s.n, s.m, mode, len(ranges))
+    step, pw = plan.rows_per_block, 1 << s.n
 
     t0 = time.perf_counter()
-    check_budget(
-        memory_estimate(s.n, s.m, mode=mode, workers=len(ranges)), max_bytes
-    )
-    if mode == "retain":
-        step = block_rows(s.n, RETAIN_BLOCK_ENTRIES)
-        rows = np.empty((total, pw), dtype=np.int32)
-        storage = [rows]
-    else:
-        step = block_rows(s.n, STREAM_BLOCK_ENTRIES)
-        rows = None
-        storage = [np.empty((step, pw), dtype=np.int32) for _ in ranges]
-    charged = sum(a.nbytes for a in storage)
-    spectrum_allocations.charge(charged)
+    with allocate_storage(plan, max_bytes) as (*blocks, maxima):
+        rows = blocks[0] if mode == "retain" else None
 
-    def work(worker: int, first: int, end: int) -> None:
-        for lo in range(first, end, step):
-            hi = min(lo + step, end)
-            # The modes differ only in where the block of masks lo..hi-1 lives.
-            if rows is not None:
-                block = rows[lo - 1 : hi - 1]
-            else:
-                block = storage[worker][: hi - lo]
-            polarity_rows(s, lo, hi, block)
-            maxima[lo - 1 : hi - 1] = column_nonlinearity(pw, fwht_rows_in_place(block))
+        def work(worker: int, first: int, end: int) -> None:
+            for lo in range(first, end, step):
+                hi = min(lo + step, end)
+                # The modes differ only in where the block of masks lo..hi-1 lives.
+                block = rows[lo - 1 : hi - 1] if rows is not None else blocks[worker][: hi - lo]
+                polarity_rows(s, lo, hi, block)
+                maxima[lo - 1 : hi - 1] = column_nonlinearity(pw, fwht_rows_in_place(block))
 
-    t1 = time.perf_counter()
-    try:
+        t1 = time.perf_counter()
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             futures = [
                 pool.submit(work, i, first, end)
@@ -127,8 +100,6 @@ def fwht_parallel(
             for future in futures:  # completion barrier; re-raises worker errors
                 future.result()
         t2 = time.perf_counter()
-    finally:
-        spectrum_allocations.release(charged)
 
     if timings is not None:
         timings["build_s"] = t1 - t0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory import RETAIN_BLOCK_ENTRIES, block_rows, check_budget, memory_estimate
+from .memory import check_budget, memory_estimate
 
 MAX_BITS = 24  # keeps index math in 64-bit range and memory bounded
 
@@ -123,12 +123,14 @@ class PolarityTruthTable:
 def polarity_rows(s: SBox, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     """Fill out[i] with the polarity row of mask lo + i, for masks lo..hi-1.
 
-    One broadcast over the whole (hi - lo, 2^n) block: +1 where g_v(x) = 0,
-    -1 where g_v(x) = 1.  ``out`` may be any view of that shape, strided or
-    not; temporaries are the size of the block.
+    One broadcast over the whole (hi - lo, 2^n) int32 block, computed in
+    place: +1 where g_v(x) = 0, -1 where g_v(x) = 1.  ``out`` may be any view
+    of that shape, strided or not; no temporary is the size of the block.
     """
-    masks = np.arange(lo, hi, dtype=np.uint32)
-    out[...] = np.bitwise_count(masks[:, None] & s.table[None, :]) & np.uint8(1)
+    u = out.view(np.uint32)
+    np.bitwise_and(np.arange(lo, hi, dtype=np.uint32)[:, None], s.table, out=u)
+    np.bitwise_count(u, out=u)
+    u &= 1
     out *= -2
     out += 1
     return out
@@ -143,20 +145,11 @@ def polarity_row(s: SBox, v: int, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def fill_polarity(s: SBox, rows: np.ndarray) -> None:
-    """Fill every row of a (2^m - 1) x 2^n view, one block of masks per call."""
-    step = block_rows(s.n, RETAIN_BLOCK_ENTRIES)
-    for lo in range(1, 1 << s.m, step):
-        hi = min(lo + step, 1 << s.m)
-        polarity_rows(s, lo, hi, rows[lo - 1 : hi - 1])
-
-
 # Kept for the per-layer trace of perfbench/worker.py (its "build" layer).
 def polarity_truth_table(s: SBox, max_bytes: int | None = None) -> PolarityTruthTable:
-    check_budget(memory_estimate(s.n, s.m, mode="retain"), max_bytes)
+    check_budget(memory_estimate(s.n, s.m), max_bytes)
     rows = np.empty(((1 << s.m) - 1, 1 << s.n), dtype=np.int32)
-    fill_polarity(s, rows)
-    return PolarityTruthTable(s.n, s.m, rows)
+    return PolarityTruthTable(s.n, s.m, polarity_rows(s, 1, 1 << s.m, rows))
 
 
 def _parse_int(token: str) -> int:

@@ -10,6 +10,7 @@ column of 2^n entries.  This module holds the pieces every route shares:
                               call per step and returns each row's max |W|
 * ``fwht_column_in_place`` -- the same butterfly over a single (possibly
                               strided) column, a one-row block
+* ``row_max_abs``          -- each row's max |W|, the one max-|W| idiom
 * ``fwht_rowmajor``        -- that butterfly over strided columns of an
                               x-major store, one column at a time, kept as the
                               slow baseline of the layout experiment
@@ -28,13 +29,17 @@ from typing import IO
 
 import numpy as np
 
-from .memory import check_budget, memory_estimate, spectrum_allocations
-from .sbox import SBox, fill_polarity
+from .memory import allocate_storage, storage_plan
+from .sbox import SBox, polarity_rows
 
 
 @dataclass(frozen=True)
 class WalshSpectrum:
-    """Mask-major spectrum: rows[v-1][u] = W(u, v) for v = 1..2^m-1."""
+    """Mask-major spectrum: rows[v-1][u] = W(u, v) for v = 1..2^m-1.
+
+    ``rows`` may be a strided view: ``fwht_rowmajor`` returns its x-major
+    store, whose rows are not contiguous.
+    """
 
     n: int
     m: int
@@ -83,7 +88,7 @@ def fwht_rows_in_place(block: np.ndarray) -> np.ndarray:
     strided, so it runs on contiguous mask-major blocks and on strided
     x-major columns alike.
 
-    Returns each row's max |W| as int64, read after the last stage, when
+    Returns ``row_max_abs`` of the block, read after the last stage, when
     every entry holds its final spectrum value.
     """
     rows, length = block.shape
@@ -103,7 +108,12 @@ def fwht_rows_in_place(block: np.ndarray) -> np.ndarray:
             lo *= 2
             np.subtract(lo, hi, out=lo)
         j <<= 1
-    return np.maximum(block.max(1).astype(np.int64), -block.min(1).astype(np.int64))
+    return row_max_abs(block)
+
+
+def row_max_abs(rows: np.ndarray) -> np.ndarray:
+    """Each row's max |W| as int64, without materializing |rows|."""
+    return np.maximum(rows.max(1).astype(np.int64), -rows.min(1).astype(np.int64))
 
 
 # Kept for the per-layer trace of perfbench/worker.py, which times it row by row.
@@ -140,21 +150,17 @@ def fwht_rowmajor(
     Every butterfly stage walks a strided column of the big matrix, touching
     one cache line per element.  Deliberately kept as the slow reference
     point for the layout benchmark; results are bit-identical to the other
-    variants.
+    variants.  The spectrum it returns is that x-major store, read through
+    the strided view rows[v-1][u].
     """
     t0 = time.perf_counter()
-    check_budget(memory_estimate(s.n, s.m, mode="retain"), max_bytes)
-    wt = np.empty((1 << s.n, (1 << s.m) - 1), dtype=np.int32)  # wt[x][v-1]
-    fill_polarity(s, wt.T)
-    spectrum_allocations.charge(wt.nbytes)
-    try:
+    # Column-major order keeps rows[v-1][x] x-major, the layout this baseline measures.
+    with allocate_storage(storage_plan(s.n, s.m), max_bytes, order="F") as (rows, _):
+        polarity_rows(s, 1, 1 << s.m, rows)
         t1 = time.perf_counter()
-        for z in range(wt.shape[1]):
-            fwht_rows_in_place(wt[:, z][None])
+        for row in rows:
+            fwht_rows_in_place(row[None])
         t2 = time.perf_counter()
-        rows = np.ascontiguousarray(wt.T)
-    finally:
-        spectrum_allocations.release(wt.nbytes)
     if timings is not None:
         timings["build_s"] = t1 - t0
         timings["transform_s"] = t2 - t1

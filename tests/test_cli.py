@@ -98,7 +98,7 @@ class TestNl:
         self, tmp_path, method
     ):
         # above the 8x8 polarity matrix (261,120 bytes), below the estimate
-        # that adds the maxima (262,144 bytes)
+        # that adds the int32 maxima (262,140 bytes)
         path = write_box(tmp_path, "r8.sbox", 8, 8, seed=1)
         assert main(["nl", path, "--max-mem", "261500", "--method", method]) == 3
 
@@ -120,6 +120,16 @@ class TestNl:
         assert main(["nl", path]) == 3
         err = capsys.readouterr().err
         assert "Unable to allocate" in err and "--mode stream" in err
+
+    def test_internal_value_error_propagates(self, tmp_path, monkeypatch):
+        # a library bug is not a bad input file: no exit code 2
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr("sboxeval.cli.evaluate", broken)
+        path = write_box(tmp_path, "r4.sbox", 4, 4, seed=2)
+        with pytest.raises(ValueError, match="internal"):
+            main(["nl", path])
 
     @pytest.mark.parametrize("method", ["rowmajor", "transposed"])
     def test_stream_with_retaining_method_is_a_usage_error(

@@ -4,6 +4,7 @@ import pytest
 from sboxeval import (
     SBox,
     SizeCapError,
+    WalshSpectrum,
     aes_sbox,
     evaluate,
     fwht_parallel,
@@ -28,6 +29,16 @@ class TestSpectrumScan:
         s = generate_sbox(5, 5, seed=3)
         scan = nonlinearity_from_spectrum(fwht_parallel(s, 1, "retain")[0])
         assert scan.value == nonlinearity_bruteforce(s).value
+
+    def test_odd_gap_in_a_non_maximal_row_raises(self):
+        rows = fwht_parallel(generate_sbox(6, 6, seed=5), 1, "retain")[0].rows.copy()
+        row_max = np.abs(rows).max(axis=1)
+        v = int(np.argmin(row_max))
+        assert row_max[v] + 1 < row_max.max()  # the row stays below the maximum
+        u = int(np.argmax(np.abs(rows[v])))
+        rows[v, u] += np.sign(rows[v, u])  # its max |W|, and so its gap, turns odd
+        with pytest.raises(AssertionError):
+            nonlinearity_from_spectrum(WalshSpectrum(6, 6, rows))
 
 
 class TestMaximaReduction:

@@ -1,19 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sboxeval import (
     fwht_parallel,
+    fwht_rowmajor,
     generate_sbox,
     partition_columns,
     spectrum_allocations,
 )
-from sboxeval.memory import (
-    RETAIN_BLOCK_ENTRIES,
-    STREAM_BLOCK_ENTRIES,
-    MemoryBudgetError,
-    block_rows,
-    memory_estimate,
-)
+from sboxeval.memory import MemoryBudgetError, memory_estimate, storage_plan
 
 
 def hadamard_spectrum(s):
@@ -83,11 +80,12 @@ class TestParallelTransform:
         assert np.array_equal(cm_stream.values, cm_retain.values)
 
     def test_stream_buffer_accounting(self):
-        # each worker owns exactly one column buffer
+        # each worker owns exactly one column buffer, plus the int32 maxima
         s = generate_sbox(10, 10, seed=12)
         spectrum_allocations.reset_peak()
         fwht_parallel(s, workers=4, mode="stream")
-        assert spectrum_allocations.peak_bytes <= 4 * (1 << 10) * 4
+        assert spectrum_allocations.peak_bytes == 4 * (1 << 10) * 4 + 1023 * 4
+        assert spectrum_allocations.peak_bytes == memory_estimate(10, 10, mode="stream", workers=4)
         assert spectrum_allocations.current_bytes == 0
 
     def test_default_worker_count_used(self):
@@ -115,7 +113,7 @@ class TestBlocks:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_retain_2x16(self, workers):
         s = generate_sbox(2, 16, seed=41)
-        step = block_rows(2, RETAIN_BLOCK_ENTRIES)
+        step = storage_plan(2, 16, "retain", workers).rows_per_block
         ranges = partition_columns((1 << 16) - 1, workers)
         assert any((b - a) % step for a, b in ranges)  # a partial last block
         expected = hadamard_spectrum(s)
@@ -126,7 +124,7 @@ class TestBlocks:
     @pytest.mark.parametrize("n", [6, 1])
     def test_stream_n_by_12_three_workers(self, n):
         s = generate_sbox(n, 12, seed=42 + n)
-        step = block_rows(n, STREAM_BLOCK_ENTRIES)
+        step = storage_plan(n, 12, "stream", 3).rows_per_block
         assert step > 1 and all((b - a) % step for a, b in partition_columns(4095, 3))
         expected = hadamard_spectrum(s)
         spec, cm = fwht_parallel(s, workers=3, mode="stream")
@@ -137,9 +135,63 @@ class TestBlocks:
     def test_stream_peak_is_the_worker_buffers(self, n, m, workers):
         s = generate_sbox(n, m, seed=43)
         used = len(partition_columns((1 << m) - 1, workers))
-        buffer_bytes = block_rows(n, STREAM_BLOCK_ENTRIES) * (1 << n) * 4
+        buffer_bytes = storage_plan(n, m, "stream", used).rows_per_block * (1 << n) * 4
         spectrum_allocations.reset_peak()
         fwht_parallel(s, workers=workers, mode="stream")
-        assert spectrum_allocations.peak_bytes == used * buffer_bytes
-        assert spectrum_allocations.peak_bytes <= memory_estimate(n, m, mode="stream", workers=used)
+        assert spectrum_allocations.peak_bytes == used * buffer_bytes + ((1 << m) - 1) * 4
+        assert spectrum_allocations.peak_bytes == memory_estimate(n, m, mode="stream", workers=used)
         assert spectrum_allocations.current_bytes == 0
+
+
+class TestStorageBound:
+    """The tracker charges exactly the plan, and the plan bounds the real peak.
+
+    numpy reports its data buffers to tracemalloc, so the traced peak of a
+    call is what it really allocated.  Beyond the planned int32 buffers the
+    only allocations are transient: numpy's ufunc buffers in the butterfly's
+    in-place updates on strided views (up to three of ``np.getbufsize()``
+    elements per running worker), and a constant for the thread pool and the
+    per-block maxima temporaries, measured at under 18 KB on numpy 2.4 and
+    stated here as 24 KiB.
+    """
+
+    CONSTANT = 24 << 10
+    SHAPES = [(8, 8), (6, 14), (10, 10)]
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        del result
+        return peak
+
+    def slack(self, workers):
+        return 3 * np.getbufsize() * 4 * workers + self.CONSTANT
+
+    @pytest.mark.parametrize("n,m", SHAPES + [(16, 8)])
+    @pytest.mark.parametrize("mode", ["retain", "stream"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fwht_parallel(self, n, m, mode, workers):
+        s = generate_sbox(n, m, seed=n * 100 + m)
+        estimate = memory_estimate(n, m, mode=mode, workers=workers)
+        spectrum_allocations.reset_peak()
+        peak = self.traced_peak(lambda: fwht_parallel(s, workers, mode))
+        assert spectrum_allocations.peak_bytes == estimate
+        assert spectrum_allocations.current_bytes == 0
+        assert peak <= estimate + self.slack(workers)
+
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_fwht_rowmajor(self, n, m):
+        s = generate_sbox(n, m, seed=n * 100 + m)
+        estimate = memory_estimate(n, m, mode="retain")
+        spectrum_allocations.reset_peak()
+        peak = self.traced_peak(lambda: fwht_rowmajor(s))
+        assert spectrum_allocations.peak_bytes <= estimate
+        assert spectrum_allocations.current_bytes == 0
+        assert peak <= estimate + self.slack(1)

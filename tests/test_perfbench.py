@@ -5,6 +5,7 @@ that the package no longer has would otherwise surface only as a failed
 benchmark run.
 """
 
+import json
 import re
 import subprocess
 import sys
@@ -31,3 +32,18 @@ def test_selftest_passes():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_screen8_run_is_correct():
+    # The benchmark's own call path: three traced boxes through every
+    # per-layer call and cli.main.  Writes only into perfbench/out/.
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "screen8",
+         "--seed", "11", "--seconds", "0", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    final = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert final["correct"] is True and final["failed"] == 0, proc.stdout + proc.stderr

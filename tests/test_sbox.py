@@ -14,7 +14,7 @@ from sboxeval import (
     polarity_truth_table,
     render_sbox,
 )
-from sboxeval.memory import MemoryBudgetError
+from sboxeval.memory import MemoryBudgetError, storage_plan
 
 
 def test_aes_table_is_the_standard_one():
@@ -190,7 +190,7 @@ class TestPolarityTruthTable:
             polarity_truth_table(generate_sbox(8, 8, seed=1), max_bytes=1000)
 
     def test_blocked_fill_matches_definition_across_blocks(self):
-        # 32,767 masks of 8 entries fill in 8,192-row blocks, the last one partial
+        # 32,767 masks of 8 entries, filled in place by one call
         s = generate_sbox(3, 15, seed=19)
         parity = np.array([[(v & int(y)).bit_count() & 1 for y in s.table]
                            for v in range(1, 1 << 15)])
@@ -207,21 +207,28 @@ class TestPolarityTruthTable:
 
 class TestMemoryEstimate:
     def test_retain_8x8(self):
-        # 255 * 256 * 4 spectrum bytes plus the 2^8-entry maxima array
-        assert memory_estimate(8, 8, 4, "retain") == 255 * 256 * 4 + 256 * 4
+        # 255 * 256 * 4 spectrum bytes plus the 255 int32 maxima
+        assert memory_estimate(8, 8, mode="retain") == 255 * 256 * 4 + 255 * 4 == 262_140
 
     def test_retain_16x16_is_16gib_class(self):
-        # (2^16 - 1) * 2^16 * 4 + 2^16 * 4 collapses to exactly 2^34
-        assert memory_estimate(16, 16, 4, "retain") == 1 << 34
+        # (2^16 - 1) * (2^16 + 1) * 4 = (2^32 - 1) * 4
+        assert memory_estimate(16, 16, mode="retain") == 17_179_869_180
 
     def test_stream_16x16_ten_workers(self):
-        assert memory_estimate(16, 16, 4, "stream", workers=10) == 12 * (1 << 16) * 4
+        assert memory_estimate(16, 16, mode="stream", workers=10) == 10 * (1 << 16) * 4 + 65535 * 4
+        assert memory_estimate(16, 16, mode="stream", workers=10) == 2_883_580
 
     def test_stream_below_n9_counts_2kib_blocks(self):
         # rows of 64 entries travel in 2 KiB blocks of 8 rows: two workers'
-        # blocks plus one spare, and the 2^14-entry maxima array
-        assert memory_estimate(6, 14, 4, "stream", workers=2) == 3 * 2**9 * 4 + 2**14 * 4
+        # blocks and the 2^14 - 1 int32 maxima
+        assert memory_estimate(6, 14, mode="stream", workers=2) == 2 * 2**9 * 4 + (2**14 - 1) * 4 == 69_628
+
+    def test_is_the_storage_plan_total(self):
+        plan = storage_plan(6, 14, "stream", 2)
+        assert plan.rows_per_block == 8
+        assert plan.shapes == ((8, 64), (8, 64), (2**14 - 1,))
+        assert plan.nbytes == memory_estimate(6, 14, mode="stream", workers=2)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            memory_estimate(4, 4, 4, "keep")
+            memory_estimate(4, 4, mode="keep")
