@@ -3,10 +3,10 @@
 One transform engine, ``fwht_parallel``, keeps each spectrum column in one
 contiguous row of a mask-major (transposed) store, fills and butterflies
 cache-sized blocks of those rows with one numpy call per step, harvests
-per-column maxima from each finished block, and spreads the columns over a
-thread pool by a static partition, with bit-identical results for any
-worker count.  Brute-force oracles (the defining spectrum sum and the
-affine-distance search) back every fast path.
+per-column maxima from each finished block, and gives each thread of a pool
+a contiguous run of whole blocks from the storage plan, with bit-identical
+results for any worker count.  Brute-force oracles (the defining spectrum
+sum and the affine-distance search) back every fast path.
 """
 
 from .bench import (
@@ -28,11 +28,7 @@ from .nonlinearity import (
     nonlinearity_from_maxima,
     nonlinearity_from_spectrum,
 )
-from .parallel import (
-    default_workers,
-    fwht_parallel,
-    partition_columns,
-)
+from .parallel import default_workers, fwht_parallel
 from .sbox import (
     AES_SBOX,
     PolarityTruthTable,
@@ -85,7 +81,6 @@ __all__ = [
     "nonlinearity_from_maxima",
     "nonlinearity_from_spectrum",
     "parse_sbox",
-    "partition_columns",
     "polarity_row",
     "polarity_rows",
     "polarity_truth_table",

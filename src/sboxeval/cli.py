@@ -236,12 +236,16 @@ def cmd_verify(args) -> int:
     )
     print(f"nl = {reduced.value}", file=sys.stderr)
 
+    # An 8x8 box is one retain block but 128 stream blocks, so only the
+    # stream runs put a second thread to work.
     det_ok = True
     for workers in range(2, max_workers + 1):
         spec_w, cm_w = fwht_parallel(s, workers=workers, max_bytes=budget)
+        _, cm_stream = fwht_parallel(s, workers, "stream", budget)
         if not (
             np.array_equal(spec_w.rows, ref_spec.rows)
             and np.array_equal(cm_w.values, maxima.values)
+            and np.array_equal(cm_stream.values, maxima.values)
         ):
             det_ok = False
             break

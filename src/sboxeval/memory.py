@@ -1,8 +1,9 @@
 """The storage plan, byte budgets and accounting for spectrum storage.
 
 Full spectra grow as 2^(n+m) elements, so one function, ``storage_plan``,
-decides the storage of an evaluation: the rows per block and the shape of
-every int32 buffer.  ``memory_estimate`` is the plan's byte total, and
+decides the whole schedule of an evaluation: the rows per block, each
+worker's contiguous run of whole blocks, and the shape of every int32
+buffer.  ``memory_estimate`` is the plan's byte total, and
 ``allocate_storage`` checks that total against an optional byte budget,
 allocates the plan's buffers and charges them to ``spectrum_allocations``.
 
@@ -10,9 +11,12 @@ A retain-mode block is a view of the retained matrix of about 2^16 entries
 (256 KiB, sized for L2).  A stream-mode block is a per-worker buffer of one
 row, or of 2^9 entries (2 KiB) when a row is smaller, so that a stream run
 fits budgets of a few rows: an 8x8 box on two workers needs 5,116 bytes.
-Both modes add the int32 per-mask maxima.  numpy's ufunc buffers (up to
-three of ``np.getbufsize()`` elements per running worker) and small
-per-block temporaries are transient and not planned.
+No block holds more rows than there are masks, and no more workers run than
+there are blocks, so only the last block of an evaluation is partial and
+the estimate is exact for any requested worker count.  Both modes add the
+int32 per-mask maxima.  numpy's ufunc buffers (up to three of
+``np.getbufsize()`` elements per running worker) and small per-block
+temporaries are transient and not planned.
 """
 
 from __future__ import annotations
@@ -88,9 +92,15 @@ def check_budget(required: int, max_bytes: int | None) -> None:
 
 @dataclass(frozen=True)
 class StoragePlan:
-    """Rows per block and the shape of every int32 buffer, the maxima last."""
+    """Rows per block, each worker's run of block starts, and every int32 buffer.
+
+    ``runs[i]`` holds the first mask of each block worker i evaluates; the
+    block of masks lo.. covers ``rows_per_block`` masks, or fewer in the
+    last block.  ``shapes`` lists the buffers, the maxima last.
+    """
 
     rows_per_block: int
+    runs: tuple[range, ...]
     shapes: tuple[tuple[int, ...], ...]
 
     @property
@@ -99,21 +109,25 @@ class StoragePlan:
 
 
 def storage_plan(n: int, m: int, mode: str = "retain", workers: int = 1) -> StoragePlan:
-    """The int32 buffers an evaluation of an n x m box allocates.
+    """The blocks, runs and int32 buffers of an evaluation of an n x m box.
 
+    The masks 1..2^m-1 are cut into blocks and the blocks into at most
+    ``workers`` contiguous runs whose lengths differ by at most one block.
     Retain mode holds the whole (2^m - 1) x 2^n matrix; stream mode holds
-    one block buffer per worker.  Both hold the (2^m - 1) per-mask maxima.
+    one block buffer per run.  Both hold the (2^m - 1) per-mask maxima.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     total, row = (1 << m) - 1, 1 << n
-    if mode == "retain":
-        step = max(1, _RETAIN_BLOCK_ENTRIES >> n)
-        blocks = ((total, row),)
-    elif mode == "stream":
-        step = max(1, _STREAM_BLOCK_ENTRIES >> n)
-        blocks = ((step, row),) * workers
-    else:
+    if mode not in ("retain", "stream"):
         raise ValueError(f"mode must be 'retain' or 'stream', got {mode!r}")
-    return StoragePlan(step, blocks + ((total,),))
+    entries = _RETAIN_BLOCK_ENTRIES if mode == "retain" else _STREAM_BLOCK_ENTRIES
+    step = min(total, max(1, entries >> n))
+    starts = range(1, total + 1, step)
+    k = min(workers, len(starts))
+    runs = tuple(starts[i * len(starts) // k : (i + 1) * len(starts) // k] for i in range(k))
+    blocks = ((total, row),) if mode == "retain" else ((step, row),) * k
+    return StoragePlan(step, runs, blocks + ((total,),))
 
 
 def memory_estimate(n: int, m: int, mode: str = "retain", workers: int = 1) -> int:

@@ -22,13 +22,13 @@ from sboxeval import (
     nonlinearity_bruteforce,
     nonlinearity_from_maxima,
     nonlinearity_from_spectrum,
-    partition_columns,
     render_sbox,
     run_benchmark,
     spectrum_allocations,
     walsh_direct,
 )
 from sboxeval.cli import main
+from sboxeval.memory import storage_plan
 
 
 def _report(name: str, ok: bool) -> None:
@@ -116,22 +116,25 @@ def test_thread_determinism():
 
 
 def test_partition_properties_exhaustive():
-    """Worked example (15, 8) plus every (columns <= 4096, workers <= 64)."""
-    sizes = [b - a for a, b in partition_columns(15, 8)]
-    ok = sizes == [2, 2, 2, 2, 2, 2, 2, 1]
-    for columns in range(1, 4097):
-        for workers in range(1, 65):
-            ranges = partition_columns(columns, workers)
-            if len(ranges) > workers:
-                ok = False
-            if ranges[0][0] != 1 or ranges[-1][1] != columns + 1:
-                ok = False
-            span = [b - a for a, b in ranges]
-            if max(span) - min(span) > 1 or min(span) < 1:
-                ok = False
-            if any(cur[0] != prev[1] for prev, cur in zip(ranges, ranges[1:])):
-                ok = False
-    _report("partition: (15,8) example and exhaustive sweep to 4096x64", ok)
+    """Every plan with n, m <= 12, both modes and 1..64 workers: whole-block runs.
+
+    The runs concatenate in order to the block starts, each is non-empty,
+    there are min(workers, blocks) of them, and their lengths differ by at
+    most one block.
+    """
+    ok = True
+    for n in range(1, 13):
+        for m in range(1, 13):
+            for mode in ("retain", "stream"):
+                starts = range(1, 1 << m, storage_plan(n, m, mode).rows_per_block)
+                for workers in range(1, 65):
+                    runs = storage_plan(n, m, mode, workers).runs
+                    sizes = [len(run) for run in runs]
+                    if ([lo for run in runs for lo in run] != list(starts)
+                            or len(runs) != min(workers, len(starts))
+                            or min(sizes) < 1 or max(sizes) - min(sizes) > 1):
+                        ok = False
+    _report("partition: whole-block runs for n, m <= 12 and 1..64 workers", ok)
 
 
 def test_layout_speedup_directional():

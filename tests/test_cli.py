@@ -1,5 +1,8 @@
+import threading
+
 import pytest
 
+import sboxeval.parallel
 from sboxeval import aes_sbox, generate_sbox, parse_sbox, render_sbox
 from sboxeval.cli import main
 
@@ -316,6 +319,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL direct-oracle equivalence" in out
         assert "FAIL parseval" in out
+
+    def test_thread_determinism_catches_a_diverging_thread(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # Negative control: every pool thread but the first corrupts its maxima.
+        real = sboxeval.parallel.column_nonlinearity
+
+        def corrupt_off_first_thread(pw, max_abs):
+            values = real(pw, max_abs)
+            return values if threading.current_thread().name.endswith("_0") else values + 1
+
+        monkeypatch.setattr(sboxeval.parallel, "column_nonlinearity", corrupt_off_first_thread)
+        path = write_box(tmp_path, "box8.sbox", 8, 8, seed=14)
+        assert main(["verify", path, "--max-workers", "2"]) == 5
+        assert "FAIL thread determinism" in capsys.readouterr().out
 
     def test_oversized_box_exits_4(self, tmp_path):
         path = write_box(tmp_path, "r9.sbox", 9, 9, seed=13)

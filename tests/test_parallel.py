@@ -7,7 +7,6 @@ from sboxeval import (
     fwht_parallel,
     fwht_rowmajor,
     generate_sbox,
-    partition_columns,
     spectrum_allocations,
 )
 from sboxeval.memory import MemoryBudgetError, memory_estimate, storage_plan
@@ -25,34 +24,45 @@ def hadamard_spectrum(s):
 
 
 class TestPartition:
+    """The plan cuts the masks into blocks and the blocks into worker runs."""
+
     def test_fifteen_columns_eight_workers(self):
-        ranges = partition_columns(15, 8)
-        assert [b - a for a, b in ranges] == [2, 2, 2, 2, 2, 2, 2, 1]
+        plan = storage_plan(9, 4, "stream", 8)  # one-row blocks
+        assert [len(run) for run in plan.runs] == [1, 2, 2, 2, 2, 2, 2, 2]
 
     def test_single_worker(self):
-        assert partition_columns(7, 1) == ((1, 8),)
+        assert storage_plan(9, 3, "stream", 1).runs == (range(1, 8),)
 
     def test_more_workers_than_columns(self):
-        assert partition_columns(3, 8) == ((1, 2), (2, 3), (3, 4))
+        plan = storage_plan(9, 2, "stream", 8)
+        assert plan.runs == (range(1, 2), range(2, 3), range(3, 4))
+        assert plan.shapes == ((1, 512),) * 3 + ((3,),)
 
     @pytest.mark.parametrize("columns", [1, 2, 63, 255, 1023])
     @pytest.mark.parametrize("workers", [1, 3, 7, 16])
     def test_partition_properties(self, columns, workers):
-        ranges = partition_columns(columns, workers)
-        assert len(ranges) <= workers
-        assert ranges[0][0] == 1
-        assert ranges[-1][1] == columns + 1
-        sizes = [b - a for a, b in ranges]
-        assert all(size >= 1 for size in sizes)
-        assert max(sizes) - min(sizes) <= 1
-        for prev, cur in zip(ranges, ranges[1:]):
-            assert cur[0] == prev[1]  # contiguous, disjoint, ordered
+        m = columns.bit_length()  # the fewest output bits giving >= columns masks
+        for n in (1, 6, 10):
+            for mode in ("retain", "stream"):
+                plan = storage_plan(n, m, mode, workers)
+                starts = range(1, 1 << m, plan.rows_per_block)
+                assert [lo for run in plan.runs for lo in run] == list(starts)
+                assert len(plan.runs) == min(workers, len(starts))
+                sizes = [len(run) for run in plan.runs]
+                assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
-            partition_columns(0, 4)
+            storage_plan(4, 4, "stream", 0)
         with pytest.raises(ValueError):
-            partition_columns(15, 0)
+            storage_plan(4, 4, "drop", 2)
+
+    def test_one_block_when_the_box_fits(self):
+        # n + m <= 16 retains one 256 KiB block, n + m <= 9 streams one 2 KiB block.
+        assert len(storage_plan(8, 8, "retain", 8).runs) == 1
+        assert len(storage_plan(10, 6, "retain", 8).runs) == 1
+        assert len(storage_plan(4, 5, "stream", 8).runs) == 1
+        assert len(storage_plan(8, 8, "stream", 8).runs) == 8
 
 
 class TestParallelTransform:
@@ -65,11 +75,13 @@ class TestParallelTransform:
 
     @pytest.mark.parametrize("workers", [2, 3, 4, 7, 12])
     def test_worker_count_invariance_retain(self, workers):
-        s = generate_sbox(8, 8, seed=9)
-        ref_spec, ref_cm = fwht_parallel(s, workers=1, mode="retain")
-        spec, cm = fwht_parallel(s, workers=workers, mode="retain")
-        assert np.array_equal(spec.rows, ref_spec.rows)
-        assert np.array_equal(cm.values, ref_cm.values)
+        # 8x8 is one retain block; 10x10 is 16, so every worker count runs.
+        for n in (8, 10):
+            s = generate_sbox(n, n, seed=9)
+            ref_spec, ref_cm = fwht_parallel(s, workers=1, mode="retain")
+            spec, cm = fwht_parallel(s, workers=workers, mode="retain")
+            assert np.array_equal(spec.rows, ref_spec.rows)
+            assert np.array_equal(cm.values, ref_cm.values)
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_stream_matches_retain(self, workers):
@@ -108,14 +120,17 @@ class TestParallelTransform:
 
 
 class TestBlocks:
-    """Blocks that straddle worker ranges and end partially, against H_n."""
+    """Blocks that end partially and runs of several blocks, against H_n."""
+
+    @staticmethod
+    def last_block_rows(plan, m):
+        return (1 << m) - plan.runs[-1][-1]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_retain_2x16(self, workers):
         s = generate_sbox(2, 16, seed=41)
-        step = storage_plan(2, 16, "retain", workers).rows_per_block
-        ranges = partition_columns((1 << 16) - 1, workers)
-        assert any((b - a) % step for a, b in ranges)  # a partial last block
+        plan = storage_plan(2, 16, "retain", workers)
+        assert 0 < self.last_block_rows(plan, 16) < plan.rows_per_block
         expected = hadamard_spectrum(s)
         spec, cm = fwht_parallel(s, workers=workers, mode="retain")
         assert np.array_equal(spec.rows, expected)
@@ -124,23 +139,40 @@ class TestBlocks:
     @pytest.mark.parametrize("n", [6, 1])
     def test_stream_n_by_12_three_workers(self, n):
         s = generate_sbox(n, 12, seed=42 + n)
-        step = storage_plan(n, 12, "stream", 3).rows_per_block
-        assert step > 1 and all((b - a) % step for a, b in partition_columns(4095, 3))
+        plan = storage_plan(n, 12, "stream", 3)
+        assert 0 < self.last_block_rows(plan, 12) < plan.rows_per_block
+        assert len(plan.runs) == 3
         expected = hadamard_spectrum(s)
         spec, cm = fwht_parallel(s, workers=3, mode="stream")
         assert spec is None
         assert np.array_equal(cm.values, ((1 << n) - np.abs(expected).max(axis=1)) // 2)
 
+    # 3x2 has 3 masks, so one 3-row block on one worker: 96 + 12 bytes.
+    PEAKS = {(6, 12, 3): 22_524, (10, 10, 4): 20_476, (3, 2, 8): 108}
+
     @pytest.mark.parametrize("n,m,workers", [(6, 12, 3), (10, 10, 4), (3, 2, 8)])
     def test_stream_peak_is_the_worker_buffers(self, n, m, workers):
         s = generate_sbox(n, m, seed=43)
-        used = len(partition_columns((1 << m) - 1, workers))
-        buffer_bytes = storage_plan(n, m, "stream", used).rows_per_block * (1 << n) * 4
+        plan = storage_plan(n, m, "stream", workers)
+        buffer_bytes = plan.rows_per_block * (1 << n) * 4
         spectrum_allocations.reset_peak()
         fwht_parallel(s, workers=workers, mode="stream")
-        assert spectrum_allocations.peak_bytes == used * buffer_bytes + ((1 << m) - 1) * 4
-        assert spectrum_allocations.peak_bytes == memory_estimate(n, m, mode="stream", workers=used)
+        peak = spectrum_allocations.peak_bytes
+        assert peak == len(plan.runs) * buffer_bytes + ((1 << m) - 1) * 4
+        assert peak == memory_estimate(n, m, mode="stream", workers=workers)
+        assert peak == self.PEAKS[n, m, workers]
         assert spectrum_allocations.current_bytes == 0
+
+    @pytest.mark.parametrize("mode", ["retain", "stream"])
+    def test_tracker_peak_is_the_estimate_for_any_worker_count(self, mode):
+        for n, m in [(3, 2), (8, 8), (6, 10), (10, 7)]:
+            s = generate_sbox(n, m, seed=44)
+            for workers in range(1, 13):
+                spectrum_allocations.reset_peak()
+                fwht_parallel(s, workers, mode)
+                assert spectrum_allocations.peak_bytes == memory_estimate(
+                    n, m, mode=mode, workers=workers
+                )
 
 
 class TestStorageBound:

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sboxeval
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -34,11 +36,13 @@ def test_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_traced_screen8_run_is_correct():
+@pytest.mark.parametrize("workload", ["screen8", "stream_wide"])
+def test_traced_run_is_correct(workload):
     # The benchmark's own call path: three traced boxes through every
-    # per-layer call and cli.main.  Writes only into perfbench/out/.
+    # per-layer call and cli.main, in retain and in stream mode.  Writes
+    # only into perfbench/out/.
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "screen8",
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
          "--seed", "11", "--seconds", "0", "--trace", "1"],
         capture_output=True,
         text=True,

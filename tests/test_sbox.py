@@ -232,3 +232,7 @@ class TestMemoryEstimate:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             memory_estimate(4, 4, mode="keep")
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers"):
+            memory_estimate(8, 8, mode="stream", workers=0)

@@ -1,4 +1,5 @@
 import io
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from sboxeval import (
     walsh_direct,
     write_spectrum,
 )
+import sboxeval.parallel
+import sboxeval.walsh
 from sboxeval.memory import MemoryBudgetError
 from sboxeval.walsh import column_nonlinearity
 
@@ -216,6 +219,24 @@ class TestTransformVariants:
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="retain.*stream"):
             fwht_parallel(identity_sbox(2), 1, "drop")
+
+    def test_transform_time_covers_the_polarity_fill(self, monkeypatch):
+        # Both transforms time the fill, the butterfly and the maxima as one phase.
+        fill = sboxeval.walsh.polarity_rows
+
+        def slow_fill(*args):
+            time.sleep(0.05)
+            return fill(*args)
+
+        monkeypatch.setattr(sboxeval.walsh, "polarity_rows", slow_fill)
+        monkeypatch.setattr(sboxeval.parallel, "polarity_rows", slow_fill)
+        s = generate_sbox(4, 4, seed=5)
+        rowmajor, engine = {}, {}
+        fwht_rowmajor(s, timings=rowmajor)
+        fwht_parallel(s, timings=engine)
+        for timings in (rowmajor, engine):
+            assert list(timings) == ["transform_s"]
+            assert timings["transform_s"] >= 0.05
 
 
 class TestFused:
