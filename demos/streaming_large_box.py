@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 # Evaluating a large box without the large spectrum. Retain mode holds all
-# (2^m - 1) x 2^n spectrum integers; stream mode holds one column buffer per
-# worker and throws each column away once its maximum is harvested. The
+# (2^m - 1) x 2^n spectrum integers; stream mode holds one block buffer per
+# worker and throws each block of columns away once its maxima are harvested. The
 # allocation tracker shows the difference is exactly what the estimate says.
 
 from sboxeval import (

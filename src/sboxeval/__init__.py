@@ -21,8 +21,10 @@ from .bench import (
 from .memory import MemoryBudgetError, memory_estimate, spectrum_allocations
 from .nonlinearity import (
     METHODS,
+    MethodOptionError,
     NonlinearityResult,
     SizeCapError,
+    check_method,
     evaluate,
     nonlinearity_bruteforce,
     nonlinearity_from_maxima,
@@ -60,6 +62,7 @@ __all__ = [
     "ColumnMaxima",
     "METHODS",
     "MemoryBudgetError",
+    "MethodOptionError",
     "NonlinearityResult",
     "PolarityTruthTable",
     "SBox",
@@ -68,6 +71,7 @@ __all__ = [
     "SpeedupRow",
     "WalshSpectrum",
     "aes_sbox",
+    "check_method",
     "default_workers",
     "evaluate",
     "fwht_column_in_place",

@@ -2,7 +2,8 @@
 
 Each (method, workers) pair produces one record holding every repetition's
 end-to-end wall time (allocation, polarity construction, transform, and
-reduction) plus a transform-only time covering just the butterfly phase.
+reduction) plus a transform-only time covering the polarity fill, the
+butterfly and the per-mask maxima, without the budget check and allocation.
 Every run's numeric result is checked against a single-worker fused
 reference before its timing counts: a benchmark that produces a wrong
 answer is an error, not a data point.
@@ -19,10 +20,9 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .nonlinearity import METHODS, WORKER_METHODS, NonlinearityResult, nonlinearity_from_maxima
+from .nonlinearity import METHODS, check_method, nonlinearity_from_maxima, takes_workers
 from .parallel import fwht_parallel
 from .sbox import SBox
-from .walsh import WalshSpectrum
 
 CSV_HEADER = (
     "method",
@@ -66,40 +66,29 @@ class BenchRecord:
         return (self.n, self.m, self.method, self.workers)
 
 
-def _run_once(
+def _checked_run(
     s: SBox,
     method: str,
     workers: int,
     mode: str,
     max_bytes: int | None,
-) -> tuple[NonlinearityResult, WalshSpectrum | None, float, float]:
-    """One end-to-end evaluation; returns (result, spectrum, end_ms, transform_ms)."""
+    reference: tuple[int, np.ndarray | None],
+) -> tuple[float, float]:
+    """One end-to-end evaluation that must reproduce ``reference`` (the value,
+    and the spectrum rows when both sides retain them); returns (end_ms,
+    transform_ms)."""
     timings: dict = {}
     start = time.perf_counter()
-    result, spectrum = METHODS[method](s, method, workers, mode, max_bytes, timings)
+    result, spectrum = METHODS[method](s, workers, mode, max_bytes, timings)
     end_ms = (time.perf_counter() - start) * 1e3
-    transform_ms = timings.get("transform_s", end_ms / 1e3) * 1e3
-    return result, spectrum, end_ms, transform_ms
-
-
-def _verify(
-    run: tuple[NonlinearityResult, WalshSpectrum | None],
-    reference_value: int,
-    reference_rows: np.ndarray | None,
-    method: str,
-    workers: int,
-) -> None:
-    result, spectrum = run
-    if result.value != reference_value:
-        raise BenchVerificationError(
-            f"{method} (workers={workers}) returned {result.value}, "
-            f"reference says {reference_value}"
-        )
-    if spectrum is not None and reference_rows is not None:
-        if not np.array_equal(spectrum.rows, reference_rows):
-            raise BenchVerificationError(
-                f"{method} (workers={workers}) spectrum differs from reference"
-            )
+    ref_value, ref_rows = reference
+    label = f"{method} (workers={workers})"
+    if result.value != ref_value:
+        raise BenchVerificationError(f"{label} returned {result.value}, reference says {ref_value}")
+    if spectrum is not None and ref_rows is not None:
+        if not np.array_equal(spectrum.rows, ref_rows):
+            raise BenchVerificationError(f"{label} spectrum differs from reference")
+    return end_ms, timings.get("transform_s", end_ms / 1e3) * 1e3
 
 
 def run_benchmark(
@@ -112,31 +101,31 @@ def run_benchmark(
 ) -> list[BenchRecord]:
     """Time each method; parallel runs once per entry of ``worker_counts``.
 
-    An extra warm-up repetition runs first and is discarded; its result (and
-    each timed run's) must match the single-worker fused reference.
+    Every method is checked against ``mode`` by ``check_method`` before
+    anything runs.  An extra warm-up repetition runs first and is discarded;
+    its result (and each timed run's) must match the single-worker fused
+    reference.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     names = sorted(set(methods))
-    if unknown := set(names) - set(METHODS):
-        raise ValueError(f"unknown method(s) {sorted(unknown)}; expected one of {tuple(METHODS)}")
+    for method in names:
+        check_method(method, mode=mode)
     ref_spectrum, ref_cm = fwht_parallel(s, 1, mode, max_bytes)
-    ref_value = nonlinearity_from_maxima(ref_cm).value
-    ref_rows = ref_spectrum.rows if ref_spectrum is not None else None
+    reference = (
+        nonlinearity_from_maxima(ref_cm).value,
+        ref_spectrum.rows if ref_spectrum is not None else None,
+    )
 
     records = []
     for method in names:
-        counts = list(worker_counts) if method in WORKER_METHODS else [1]
+        counts = list(worker_counts) if takes_workers(method) else [1]
         for workers in counts:
             record = BenchRecord(method, s.n, s.m, workers, repetitions)
             # warm-up: populates caches and proves the configuration correct
-            result, spectrum, _, _ = _run_once(s, method, workers, mode, max_bytes)
-            _verify((result, spectrum), ref_value, ref_rows, method, workers)
+            _checked_run(s, method, workers, mode, max_bytes, reference)
             for _ in range(repetitions):
-                result, spectrum, end_ms, transform_ms = _run_once(
-                    s, method, workers, mode, max_bytes
-                )
-                _verify((result, spectrum), ref_value, ref_rows, method, workers)
+                end_ms, transform_ms = _checked_run(s, method, workers, mode, max_bytes, reference)
                 record.wall_times.append(end_ms)
                 record.transform_times.append(transform_ms)
             records.append(record)

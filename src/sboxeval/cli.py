@@ -20,9 +20,9 @@ from . import bench
 from .memory import MemoryBudgetError, default_budget
 from .nonlinearity import (
     METHODS,
-    STREAM_METHODS,
-    WORKER_METHODS,
+    MethodOptionError,
     SizeCapError,
+    check_method,
     evaluate,
     nonlinearity_bruteforce,
     nonlinearity_from_maxima,
@@ -52,6 +52,7 @@ class UsageError(Exception):
 # The exit code of every error the CLI reports, found along the exception's MRO.
 EXIT_CODES = {
     UsageError: EXIT_USAGE,
+    MethodOptionError: EXIT_USAGE,
     SBoxFormatError: EXIT_PARSE,
     UnicodeDecodeError: EXIT_PARSE,
     OSError: EXIT_PARSE,
@@ -119,15 +120,8 @@ def _output(path: str | None):
         yield fh
 
 
-def _check_stream(mode: str, methods: Sequence[str]) -> None:
-    if mode == "stream" and any(m not in STREAM_METHODS for m in methods):
-        raise UsageError(f"--mode stream applies only to --method {'/'.join(STREAM_METHODS)}")
-
-
 def cmd_nl(args) -> int:
-    if args.workers is not None and args.method not in WORKER_METHODS:
-        raise UsageError(f"--workers applies only to --method {'/'.join(WORKER_METHODS)}")
-    _check_stream(args.mode, [args.method])
+    check_method(args.method, args.workers, args.mode)
     budget = _resolve_budget(args)
     s = _load_sbox(args.path)
     result = evaluate(s, method=args.method, workers=args.workers, mode=args.mode, max_bytes=budget)
@@ -138,13 +132,11 @@ def cmd_nl(args) -> int:
 def cmd_walsh(args) -> int:
     s = _load_sbox(args.path)
     if s.n > WSPEC_MAX_BITS or s.m > WSPEC_MAX_BITS:
-        print(
+        raise SizeCapError(
             f"refusing to dump a {s.n}x{s.m} spectrum as text "
-            f"(limit {WSPEC_MAX_BITS}x{WSPEC_MAX_BITS})",
-            file=sys.stderr,
+            f"(limit {WSPEC_MAX_BITS}x{WSPEC_MAX_BITS})"
         )
-        return EXIT_SIZE
-    _, spectrum = METHODS[args.method](s, args.method, 1, "retain", _resolve_budget(args), None)
+    spectrum, _ = fwht_parallel(s, 1, "retain", _resolve_budget(args))
     with _output(args.out) as out:
         write_spectrum(spectrum, out)
     return EXIT_OK
@@ -152,12 +144,10 @@ def cmd_walsh(args) -> int:
 
 def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
     if not methods:
         raise UsageError(f"--methods names no method; choose from {tuple(METHODS)}")
-    _check_stream(args.mode, methods)
+    for m in methods:
+        check_method(m, mode=args.mode)
     try:
         workers = [_positive_int(w) for w in args.workers.split(",")]
     except argparse.ArgumentTypeError as exc:
@@ -196,12 +186,9 @@ def _check(name: str, ok: bool, failures: list[str]) -> None:
 def cmd_verify(args) -> int:
     s = _load_sbox(args.path)
     if s.n > VERIFY_MAX_BITS or s.m > VERIFY_MAX_BITS:
-        print(
-            f"verify needs n, m <= {VERIFY_MAX_BITS} (oracle cost); "
-            f"got {s.n}x{s.m}",
-            file=sys.stderr,
+        raise SizeCapError(
+            f"verify needs n, m <= {VERIFY_MAX_BITS} (oracle cost); got {s.n}x{s.m}"
         )
-        return EXIT_SIZE
     budget = _resolve_budget(args)
     max_workers = args.max_workers or default_workers()
 
@@ -280,8 +267,6 @@ def build_parser() -> _Parser:
 
     p_walsh = sub.add_parser("walsh", help="dump the Walsh spectrum as text")
     p_walsh.add_argument("path", help=".sbox file")
-    p_walsh.add_argument("--method", choices=("rowmajor", "transposed", "fused"),
-                         default="transposed")
     p_walsh.add_argument("--out", default=None, help=".wspec output (default: stdout)")
     add_common(p_walsh, modes=False)
     p_walsh.set_defaults(func=cmd_walsh)

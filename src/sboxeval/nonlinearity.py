@@ -24,30 +24,29 @@ class SizeCapError(ValueError):
     """Box too large for an exhaustive-search code path."""
 
 
+class MethodOptionError(ValueError):
+    """A method name the registry lacks, or an option the method does not take."""
+
+
 @dataclass(frozen=True)
 class NonlinearityResult:
     value: int
     argmin_v: int  # smallest output mask achieving the minimum
-    method: str
 
 
-def nonlinearity_from_spectrum(
-    w: WalshSpectrum, method: str = "spectrum"
-) -> NonlinearityResult:
+def nonlinearity_from_spectrum(w: WalshSpectrum) -> NonlinearityResult:
     """Scan a retained spectrum: 2^{n-1} - (max over v>=1, u of |W(u,v)|) / 2.
 
     Every row's gap must be even, as in the engine's fused maxima.
     """
     values = column_nonlinearity(1 << w.n, row_max_abs(w.rows))
-    return nonlinearity_from_maxima(ColumnMaxima(w.n, w.m, values), method)
+    return nonlinearity_from_maxima(ColumnMaxima(w.n, w.m, values))
 
 
-def nonlinearity_from_maxima(
-    cm: ColumnMaxima, method: str = "maxima"
-) -> NonlinearityResult:
+def nonlinearity_from_maxima(cm: ColumnMaxima) -> NonlinearityResult:
     """Reduce fused per-column nonlinearities to their minimum."""
     idx = int(np.argmin(cm.values))  # first occurrence = smallest mask
-    return NonlinearityResult(int(cm.values[idx]), idx + 1, method)
+    return NonlinearityResult(int(cm.values[idx]), idx + 1)
 
 
 def nonlinearity_bruteforce(s: SBox) -> NonlinearityResult:
@@ -77,36 +76,36 @@ def nonlinearity_bruteforce(s: SBox) -> NonlinearityResult:
         if v_best < best:
             best = v_best
             best_v = v
-    return NonlinearityResult(best, best_v, "bruteforce")
+    return NonlinearityResult(best, best_v)
 
 
-def _run_rowmajor(s, method, workers, mode, max_bytes, timings):
+def _run_rowmajor(s, workers, mode, max_bytes, timings):
     spectrum = fwht_rowmajor(s, max_bytes, timings)
-    return nonlinearity_from_spectrum(spectrum, method), spectrum
+    return nonlinearity_from_spectrum(spectrum), spectrum
 
 
-def _run_transposed(s, method, workers, mode, max_bytes, timings):
+def _run_transposed(s, workers, mode, max_bytes, timings):
     spectrum, _ = fwht_parallel(s, 1, "retain", max_bytes, timings)
-    return nonlinearity_from_spectrum(spectrum, method), spectrum
+    return nonlinearity_from_spectrum(spectrum), spectrum
 
 
-def _run_parallel(s, method, workers, mode, max_bytes, timings):
+def _run_parallel(s, workers, mode, max_bytes, timings):
     spectrum, cm = fwht_parallel(s, workers, mode, max_bytes, timings)
-    return nonlinearity_from_maxima(cm, method), spectrum
+    return nonlinearity_from_maxima(cm), spectrum
 
 
-def _run_fused(s, method, workers, mode, max_bytes, timings):
-    return _run_parallel(s, method, 1, mode, max_bytes, timings)
+def _run_fused(s, workers, mode, max_bytes, timings):
+    return _run_parallel(s, 1, mode, max_bytes, timings)
 
 
-def _run_bruteforce(s, method, workers, mode, max_bytes, timings):
+def _run_bruteforce(s, workers, mode, max_bytes, timings):
     return nonlinearity_bruteforce(s), None
 
 
 # Every evaluation pipeline by name.  Each entry is
-# run(s, method, workers, mode, max_bytes, timings) -> (result, spectrum or None);
-# entries outside WORKER_METHODS ignore ``workers`` and entries outside
-# STREAM_METHODS ignore ``mode`` (rowmajor and transposed always retain).
+# run(s, workers, mode, max_bytes, timings) -> (result, spectrum or None).
+# Entries outside WORKER_METHODS ignore ``workers`` and entries outside
+# STREAM_METHODS ignore ``mode``; check_method refuses both combinations.
 METHODS = {
     "rowmajor": _run_rowmajor,
     "transposed": _run_transposed,
@@ -118,6 +117,25 @@ WORKER_METHODS = ("parallel",)
 STREAM_METHODS = ("fused", "parallel")
 
 
+def takes_workers(method: str) -> bool:
+    """Whether ``method`` runs on a chosen worker count."""
+    return method in WORKER_METHODS
+
+
+def check_method(method: str, workers: int | None = None, mode: str = "retain") -> None:
+    """Raise MethodOptionError unless ``method`` exists and takes these options."""
+    if method not in METHODS:
+        raise MethodOptionError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    if workers is not None and not takes_workers(method):
+        raise MethodOptionError(
+            f"--workers applies only to --method {'/'.join(WORKER_METHODS)}, not {method!r}"
+        )
+    if mode != "retain" and method not in STREAM_METHODS:
+        raise MethodOptionError(
+            f"--mode {mode} applies only to --method {'/'.join(STREAM_METHODS)}, not {method!r}"
+        )
+
+
 def evaluate(
     s: SBox,
     method: str = "parallel",
@@ -126,6 +144,5 @@ def evaluate(
     max_bytes: int | None = None,
 ) -> NonlinearityResult:
     """End-to-end nonlinearity through the chosen pipeline."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
-    return METHODS[method](s, method, workers, mode, max_bytes, None)[0]
+    check_method(method, workers, mode)
+    return METHODS[method](s, workers, mode, max_bytes, None)[0]

@@ -11,7 +11,7 @@ from sboxeval import (
     speedup_report,
     write_csv,
 )
-from sboxeval.nonlinearity import NonlinearityResult
+from sboxeval.nonlinearity import MethodOptionError, NonlinearityResult
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +50,19 @@ class TestRunBenchmark:
         monkeypatch.setitem(
             bench.METHODS,
             "bruteforce",
-            lambda *_args: (NonlinearityResult(999, 1, "bruteforce"), None),
+            lambda *_args: (NonlinearityResult(999, 1), None),
         )
         with pytest.raises(BenchVerificationError, match="999"):
             run_benchmark(s, {"bruteforce"}, repetitions=1)
+
+    def test_retaining_method_in_stream_mode_raises_before_any_run(self, monkeypatch):
+        def no_runs(*_args):
+            raise AssertionError("a run started before the method was checked")
+
+        monkeypatch.setattr(bench, "fwht_parallel", no_runs)
+        monkeypatch.setitem(bench.METHODS, "transposed", no_runs)
+        with pytest.raises(MethodOptionError, match="--mode stream"):
+            run_benchmark(generate_sbox(4, 4, seed=8), {"transposed"}, mode="stream")
 
 
 class TestSpeedupReport:

@@ -168,14 +168,6 @@ class TestWalsh:
         row_v1 = [int(t) for t in lines[1].split()]
         assert row_v1[:8] == [walsh_direct(aes, u, 1) for u in range(8)]
 
-    def test_methods_agree(self, tmp_path, capsys):
-        path = write_box(tmp_path, "r4.sbox", 4, 4, seed=4)
-        dumps = []
-        for method in ("rowmajor", "transposed", "fused"):
-            assert main(["walsh", path, "--method", method]) == 0
-            dumps.append(capsys.readouterr().out)
-        assert dumps[0] == dumps[1] == dumps[2]
-
     def test_oversized_dump_exits_4(self, tmp_path, capsys):
         path = write_box(tmp_path, "r12.sbox", 12, 12, seed=5)
         assert main(["walsh", str(path)]) == 4

@@ -44,3 +44,17 @@ def test_streaming_large_box_stream_equals_retain():
     stream = re.search(r"measured peak, stream: .* nl = (\d+)", out)
     assert retain and stream
     assert retain.group(1) == stream.group(1)
+
+
+def test_layout_speedup_prints_every_size_and_its_csv():
+    out = run_demo("layout_speedup.py")
+    sizes = re.findall(r"^\s*(\d+)x(\d+)\s+[\d.]+\s+[\d.]+\s+[\d.]+x$", out, flags=re.M)
+    assert sizes == [(b, b) for b in ("8", "9", "10", "11")]
+    csv_lines = out[out.index("method,n,m,workers"):].splitlines()
+    assert csv_lines[0] == "method,n,m,workers,repetitions,mean_ms,stddev_ms,transform_only_mean_ms"
+    rows = [line.split(",")[:5] for line in csv_lines[1:]]
+    assert rows == [
+        [method, b, b, "1", "3"]
+        for b in ("8", "9", "10", "11")
+        for method in ("rowmajor", "transposed")
+    ]

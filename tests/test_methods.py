@@ -29,11 +29,10 @@ def test_registry_entry_matches_oracles(method, shape, mode):
     n, m = shape
     s = generate_sbox(n, m, seed=10 * n + m)
     spectrum_allocations.reset_peak()
-    result, spectrum = METHODS[method](s, method, WORKERS, mode, None, None)
+    result, spectrum = METHODS[method](s, WORKERS, mode, None, None)
 
     brute = nonlinearity_bruteforce(s)
     assert (result.value, result.argmin_v) == (brute.value, brute.argmin_v)
-    assert result.method == method
 
     if mode == "stream":
         assert spectrum is None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sboxeval import (
+    MethodOptionError,
     SBox,
     SizeCapError,
     WalshSpectrum,
@@ -13,6 +14,7 @@ from sboxeval import (
     nonlinearity_bruteforce,
     nonlinearity_from_maxima,
     nonlinearity_from_spectrum,
+    spectrum_allocations,
 )
 
 
@@ -127,9 +129,8 @@ class TestEvaluate:
     def test_all_methods_agree(self, method):
         s = generate_sbox(6, 6, seed=77, bijective=True)
         reference = nonlinearity_bruteforce(s).value
-        result = evaluate(s, method=method, workers=3)
-        assert result.value == reference
-        assert result.method == method
+        workers = 3 if method == "parallel" else None
+        assert evaluate(s, method=method, workers=workers).value == reference
 
     def test_stream_parallel(self):
         s = generate_sbox(7, 7, seed=78)
@@ -141,3 +142,18 @@ class TestEvaluate:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             evaluate(identity_sbox(2), method="magic")
+
+    @pytest.mark.parametrize(
+        "method,workers,mode",
+        [
+            ("rowmajor", None, "stream"),
+            ("transposed", None, "stream"),
+            ("fused", 4, "retain"),
+            ("bruteforce", None, "stream"),
+        ],
+    )
+    def test_option_the_method_does_not_take_is_refused(self, method, workers, mode):
+        spectrum_allocations.reset_peak()
+        with pytest.raises(MethodOptionError):
+            evaluate(generate_sbox(6, 6, seed=79), method, workers, mode)
+        assert spectrum_allocations.peak_bytes == 0

@@ -36,11 +36,12 @@ def test_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["screen8", "stream_wide"])
+@pytest.mark.parametrize("workload", ["screen8", "stream_wide", "stream_tall_cli"])
 def test_traced_run_is_correct(workload):
     # The benchmark's own call path: three traced boxes through every
-    # per-layer call and cli.main, in retain and in stream mode.  Writes
-    # only into perfbench/out/.
+    # per-layer call and cli.main, in retain and in stream mode, and for
+    # stream_tall_cli one `python -m sboxeval.cli nl` process per box.
+    # Writes only into perfbench/out/.
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
          "--seed", "11", "--seconds", "0", "--trace", "1"],
