@@ -1,11 +1,13 @@
 """Walsh-Hadamard spectra and nonlinearity of S-boxes.
 
 One transform engine, ``fwht_parallel``, keeps each spectrum column in one
-contiguous row of a mask-major (transposed) store, fills and butterflies
-cache-sized blocks of those rows with one numpy call per step, harvests
-per-column maxima from each finished block, and gives each thread of a pool
-a contiguous run of whole blocks from the storage plan, with bit-identical
-results for any worker count.  Brute-force oracles (the defining spectrum
+contiguous row of a mask-major (transposed) store, fills and transforms
+cache-sized blocks of those rows, harvests per-column maxima from each
+finished block, and gives each thread of a pool a contiguous run of whole
+blocks from the storage plan, with bit-identical results for any worker
+count.  Rows shorter than 2^16 entries take the integer butterfly, one numpy
+call per step; longer rows take exact float32 BLAS products, one per
+Sylvester factor of H_n.  Brute-force oracles (the defining spectrum
 sum and the affine-distance search) back every fast path.
 """
 

@@ -3,7 +3,8 @@
 Each (method, workers) pair produces one record holding every repetition's
 end-to-end wall time (allocation, polarity construction, transform, and
 reduction) plus a transform-only time covering the polarity fill, the
-butterfly and the per-mask maxima, without the budget check and allocation.
+Walsh transform and the per-mask maxima, without the budget check and
+allocation.
 Every run's numeric result is checked against a single-worker fused
 reference before its timing counts: a benchmark that produces a wrong
 answer is an error, not a data point.
@@ -111,6 +112,8 @@ def run_benchmark(
     names = sorted(set(methods))
     for method in names:
         check_method(method, mode=mode)
+    if not names:
+        return []
     ref_spectrum, ref_cm = fwht_parallel(s, 1, mode, max_bytes)
     reference = (
         nonlinearity_from_maxima(ref_cm).value,

@@ -123,16 +123,21 @@ class PolarityTruthTable:
 def polarity_rows(s: SBox, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     """Fill out[i] with the polarity row of mask lo + i, for masks lo..hi-1.
 
-    One broadcast over the whole (hi - lo, 2^n) int32 block, computed in
-    place: +1 where g_v(x) = 0, -1 where g_v(x) = 1.  ``out`` may be any view
+    One broadcast over the whole (hi - lo, 2^n) block, computed in place:
+    +1 where g_v(x) = 0, -1 where g_v(x) = 1, as int32 or, for a float32
+    ``out``, as the bit patterns of +1.0 and -1.0.  ``out`` may be any view
     of that shape, strided or not; no temporary is the size of the block.
     """
     u = out.view(np.uint32)
     np.bitwise_and(np.arange(lo, hi, dtype=np.uint32)[:, None], s.table, out=u)
     np.bitwise_count(u, out=u)
     u &= 1
-    out *= -2
-    out += 1
+    if out.dtype == np.float32:
+        u <<= 31  # the parity becomes the sign bit
+        u |= 0x3F800000  # of 1.0
+    else:
+        out *= -2
+        out += 1
     return out
 
 

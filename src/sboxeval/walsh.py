@@ -1,30 +1,33 @@
-"""Walsh-Hadamard spectra of S-boxes: kernel, oracle and layout baseline.
+"""Walsh-Hadamard spectra of S-boxes: kernels, oracle and layout baseline.
 
 The spectrum entry W(u, v) is the signed correlation count
 sum_x (-1)^{g_v(x) XOR <u, x>}; one fixed output mask v gives one spectrum
 column of 2^n entries.  This module holds the pieces every route shares:
 
 * ``walsh_direct``         -- literal evaluation of the defining sum (the oracle)
-* ``fwht_rows_in_place``   -- the butterfly, the only one in the package: it
-                              transforms a whole block of rows with one numpy
-                              call per step and returns each row's max |W|
-* ``fwht_column_in_place`` -- the same butterfly over a single (possibly
+* ``fwht_rows_in_place``   -- the integer butterfly: it transforms a whole
+                              block of rows with one numpy call per step and
+                              returns each row's max |W|
+* ``fwht_kronecker``       -- the float32 kernel for rows of 2^16 entries and
+                              up: fill and transform of a block by one BLAS
+                              product per Sylvester factor of H_n
+* ``fwht_column_in_place`` -- the butterfly over a single (possibly
                               strided) column, a one-row block
 * ``row_max_abs``          -- each row's max |W|, the one max-|W| idiom
-* ``fwht_rowmajor``        -- that butterfly over strided columns of an
+* ``fwht_rowmajor``        -- the butterfly over strided columns of an
                               x-major store, one column at a time, kept as the
                               slow baseline of the layout experiment
 
 The fast engine lives in ``parallel.fwht_parallel``: workers fill cache-sized
-blocks of contiguous mask-major rows and run ``fwht_rows_in_place`` on each
-block while it is still in cache.  Every route produces bit-identical
-integer spectra.
+blocks of contiguous mask-major rows and transform each block while it is
+still in cache, with the kernel the storage plan picks from n.  Every route
+produces bit-identical integer spectra.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO
 
 import numpy as np
@@ -111,6 +114,45 @@ def fwht_rows_in_place(block: np.ndarray) -> np.ndarray:
     return row_max_abs(block)
 
 
+def fwht_kronecker(
+    s: SBox,
+    lo: int,
+    hi: int,
+    block: np.ndarray,
+    scratch: np.ndarray,
+    hadamard: np.ndarray,
+    factors: tuple[int, ...],
+) -> np.ndarray:
+    """Fill the contiguous int32 block with the spectra of masks lo..hi-1 by float32 products.
+
+    H_n is the Kronecker product of the Sylvester matrices H_b of
+    ``factors`` (Fino & Algazi, IEEE TC 1976).  Viewing a row as a
+    (2^n / 2^b, 2^b) matrix X, the product H_b @ X^T transforms the lowest
+    b index bits and moves them to the top, so after one product per factor
+    every bit is transformed and back in its place.  The products ping-pong
+    between the block, read as float32, and ``scratch``, a block of the same
+    shape; the polarity fill goes where the last product lands in
+    ``scratch``, which is then copied back into the block as int32.
+    ``hadamard`` is the float32 H of the largest factor; a smaller H_b is
+    its leading corner.
+
+    Every partial sum is an integer of magnitude at most 2^n, and
+    ``sylvester_factors`` refuses n above 24, so float32 holds each one
+    exactly in any summation order and the spectrum is bit-identical to
+    the integer butterfly's.  Returns ``row_max_abs`` of the block.
+    """
+    rows = hi - lo
+    bufs = (block.view(np.float32), scratch[:rows].view(np.float32))
+    src = 1 - len(factors) % 2
+    polarity_rows(s, lo, hi, bufs[src])
+    for b in factors:
+        x = bufs[src].reshape(rows, -1, 1 << b).transpose(0, 2, 1)
+        np.matmul(hadamard[: 1 << b, : 1 << b], x, out=bufs[1 - src].reshape(rows, 1 << b, -1))
+        src = 1 - src
+    np.copyto(block, bufs[1], casting="unsafe")
+    return row_max_abs(block)
+
+
 def row_max_abs(rows: np.ndarray) -> np.ndarray:
     """Each row's max |W| as int64, without materializing |rows|."""
     return np.maximum(rows.max(1).astype(np.int64), -rows.min(1).astype(np.int64))
@@ -153,8 +195,11 @@ def fwht_rowmajor(
     variants.  The spectrum it returns is that x-major store, read through
     the strided view rows[v-1][u].
     """
+    # The baseline runs the integer butterfly only: the matrix and the maxima.
+    plan = storage_plan(s.n, s.m)
+    plan = replace(plan, shapes=(plan.shapes[0], plan.shapes[-1]), factors=())
     # Column-major order keeps rows[v-1][x] x-major, the layout this baseline measures.
-    with allocate_storage(storage_plan(s.n, s.m), max_bytes, order="F") as (rows, _):
+    with allocate_storage(plan, max_bytes, order="F") as (rows, _):
         t0 = time.perf_counter()
         polarity_rows(s, 1, 1 << s.m, rows)
         for row in rows:

@@ -64,6 +64,13 @@ class TestRunBenchmark:
         with pytest.raises(MethodOptionError, match="--mode stream"):
             run_benchmark(generate_sbox(4, 4, seed=8), {"transposed"}, mode="stream")
 
+    def test_no_methods_runs_nothing(self, monkeypatch):
+        def no_runs(*_args):
+            raise AssertionError("the reference ran for an empty method list")
+
+        monkeypatch.setattr(bench, "fwht_parallel", no_runs)
+        assert run_benchmark(generate_sbox(4, 4, seed=8), []) == []
+
 
 class TestSpeedupReport:
     def test_baseline_ratio_is_one(self, small_records):

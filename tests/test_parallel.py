@@ -165,7 +165,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("mode", ["retain", "stream"])
     def test_tracker_peak_is_the_estimate_for_any_worker_count(self, mode):
-        for n, m in [(3, 2), (8, 8), (6, 10), (10, 7)]:
+        for n, m in [(3, 2), (8, 8), (6, 10), (10, 7), (17, 2)]:
             s = generate_sbox(n, m, seed=44)
             for workers in range(1, 13):
                 spectrum_allocations.reset_peak()

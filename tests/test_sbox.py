@@ -211,12 +211,15 @@ class TestMemoryEstimate:
         assert memory_estimate(8, 8, mode="retain") == 255 * 256 * 4 + 255 * 4 == 262_140
 
     def test_retain_16x16_is_16gib_class(self):
-        # (2^16 - 1) * (2^16 + 1) * 4 = (2^32 - 1) * 4
-        assert memory_estimate(16, 16, mode="retain") == 17_179_869_180
+        # (2^16 - 1) * (2^16 + 1) * 4 = (2^32 - 1) * 4 for the spectrum and maxima, plus
+        # the Kronecker kernel's scratch row and float32 H_8, 2^16 * 4 bytes each
+        assert memory_estimate(16, 16, mode="retain") == (2**32 - 1) * 4 + 2 * 2**18
+        assert memory_estimate(16, 16, mode="retain") == 17_180_393_468
 
     def test_stream_16x16_ten_workers(self):
-        assert memory_estimate(16, 16, mode="stream", workers=10) == 10 * (1 << 16) * 4 + 65535 * 4
-        assert memory_estimate(16, 16, mode="stream", workers=10) == 2_883_580
+        # a block row and a scratch row per worker, H_8, and the maxima
+        assert memory_estimate(16, 16, mode="stream", workers=10) == 20 * 2**18 + 2**18 + 65535 * 4
+        assert memory_estimate(16, 16, mode="stream", workers=10) == 5_767_164
 
     def test_stream_below_n9_counts_2kib_blocks(self):
         # rows of 64 entries travel in 2 KiB blocks of 8 rows: two workers'
